@@ -13,12 +13,12 @@ from .classify import (
     bundle_descriptor,
     classify,
     effective_decompositions,
-    flop_cells,
+    flop_cells_of,
 )
 from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
-from .stability import PathCrossing, holes, path_crossings
-from .walls import WallLattice, enumerate_result
+from .stability import AlignmentFunctional, PathCrossing, path_crossings
+from .walls import EnumerationResult, WallLattice, enumerate_result
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,14 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
         verdict = classify(cfg, wall)
         divisor = wall_divisor(cfg, v, wall.a, basis)
         curve = curve_class(cfg, v, divisor)
-        decs = tuple(effective_decompositions(cfg, wall)) if verdict.is_flopping else ()
+        decs = ()
         bundle = None
-        if verdict.is_flopping:
-            cells = flop_cells(cfg, wall)
+        if verdict.is_flopping and verdict.phase_point is not None:
+            func = AlignmentFunctional(cfg, wall.v, *verdict.phase_point)
+            decs = tuple(effective_decompositions(cfg, wall, func))
+            cells = flop_cells_of(cfg, decs)
             if cells:
-                a, b, _ = cells[0]
-                bundle = bundle_descriptor(cfg, v, a)
+                bundle = bundle_descriptor(cfg, v, cells[0][0])
         records.append(WallRecord(idx, wall, verdict, divisor, curve, decs, bundle))
     return WallSurvey(cfg, v, basis, tuple(records), enum.window, enum.stable)
 
@@ -110,7 +111,7 @@ class PathReport:
     v: MukaiVector
     b0: Fraction
     crossings: tuple[PathCrossing, ...]
-    wall_indices: tuple[int, ...]  # survey index per crossing
+    wall_indices: tuple[int, ...]  # wall index per crossing, as in survey
     degenerate_hits: tuple[int, ...]  # crossings that sit on a hole
 
 
@@ -121,12 +122,12 @@ def path_report(
     t_min=0,
     t_max=None,
     window: int | None = None,
-    sv: WallSurvey | None = None,
+    enum: EnumerationResult | None = None,
 ) -> PathReport:
-    sv = sv or survey(cfg, v, window)
-    classes = [r.wall.a for r in sv.records]
+    enum = enum or enumerate_result(cfg, v, "mov", window)
+    classes = [wall.a for wall in enum.walls]
     crossings = path_crossings(cfg, v, classes, b0, t_min, t_max)
-    indices = tuple(sv.records[cr.wall_index].index for cr in crossings)
+    indices = tuple(cr.wall_index for cr in crossings)
     degenerate = tuple(
         i for i, cr in enumerate(crossings) if cr.hole_collision is not None
     )
@@ -178,7 +179,3 @@ def chain_structure_check(
         if d1 != d2:
             return False
     return True
-
-
-def wall_holes(cfg: K3Config, wall: WallLattice, bound: int = 24):
-    return holes(cfg, wall.v, wall.a, bound)

@@ -230,37 +230,46 @@ class Decomposition:
 
 
 def effective_decompositions(
-    cfg: K3Config, wall: WallLattice, v: MukaiVector | None = None
+    cfg: K3Config, wall: WallLattice, func: AlignmentFunctional | None = None
 ) -> list[Decomposition]:
     """Splittings v = sum of effective parts inside the wall lattice.
 
     A part is admissible when it is positive (square >= 0, positive pairing
     with v) or a spherical class of positive phase; every part must carry
     phase in (0, 1).  Splittings refinable inside the lattice are flagged
-    via the vertex parallelogram test.
+    via the vertex parallelogram test.  Splittings are cut off, without a
+    flag, at min(8, floor(1/phi_min) + 1) parts, phi_min the smallest atom
+    phase.
+
+    Phases are taken at func, by default the wall point of phase_functional;
+    the search compares the integer numerators of func over its fixed
+    denominator.
     """
-    v = wall.v if v is None else v
     if wall.degenerate:
         return []
-    func = phase_functional(cfg, wall)
     if func is None:
-        return []
+        func = phase_functional(cfg, wall)
+        if func is None:
+            return []
+    v = wall.v
+    den = func.den
     atoms = _effective_atoms(cfg, wall, func)
     results: list[Decomposition] = []
     seen: set[tuple] = set()
 
-    def admissible(u: MukaiVector, ph: Fraction) -> bool:
-        if not 0 < ph < 1:
+    def admissible(u: MukaiVector, num: int) -> bool:
+        if not 0 < num < den:
             return False
         usq = square(cfg, u)
         return usq == -2 or (usq >= 0 and pairing(cfg, u, v) > 0)
 
-    def record(parts: tuple[MukaiVector, ...]):
+    def record(split: list[tuple[MukaiVector, int]]):
+        parts = tuple(u for u, _ in split)
         key = tuple(sorted(p.as_tuple() for p in parts))
         if key in seen:
             return
         seen.add(key)
-        phases = tuple(func.phi(p) for p in parts)
+        phases = tuple(Fraction(n, den) for _, n in split)
         refinable = False
         if len(parts) == 2:
             coords = [_coords_in_wall(cfg, wall, p) for p in parts]
@@ -272,23 +281,23 @@ def effective_decompositions(
                 refinable = bool(pts)
         results.append(Decomposition(parts, phases, refinable))
 
-    max_parts = _max_parts(atoms, func)
+    max_parts = _max_parts(atoms, den)
 
-    def extend(start: int, total: MukaiVector, phase: Fraction, chosen):
+    def extend(start: int, total: MukaiVector, num: int, chosen):
         # close the split with the complement, which need not sit in the window
         if chosen:
             last = v - total
-            if not last.is_zero and admissible(last, 1 - phase):
-                record(tuple(chosen) + (last,))
+            if not last.is_zero and admissible(last, den - num):
+                record(chosen + [(last, den - num)])
         if len(chosen) + 1 >= max_parts:
             return
         for i in range(start, len(atoms)):
-            u, ph = atoms[i]
-            if phase + ph >= 1:
+            u, n = atoms[i]
+            if num + n >= den:
                 continue
-            extend(i, total + u, phase + ph, chosen + [u])
+            extend(i, total + u, num + n, chosen + [atoms[i]])
 
-    extend(0, MukaiVector(0, 0, 0), Fraction(0), [])
+    extend(0, MukaiVector(0, 0, 0), 0, [])
     results.sort(key=lambda d: (len(d.parts), tuple(p.as_tuple() for p in d.parts)))
     return results
 
@@ -303,8 +312,9 @@ def _coords_in_wall(cfg: K3Config, wall: WallLattice, x: MukaiVector):
 
 
 def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional):
-    """(class, phase) pairs usable as split parts, phases inside (0, 1)."""
+    """(class, phase numerator) pairs usable as split parts, phases in (0, 1)."""
     v = wall.v
+    den = func.den
     atoms = []
     seen = set()
     for x, y in decomposition_solutions(cfg, v, wall.a):
@@ -312,40 +322,51 @@ def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional):
         if u.as_tuple() in seen:
             continue
         usq = square(cfg, u)
-        ph = func.phi(u)
-        if not 0 < ph < 1:
+        num = func.numerator(u)
+        if not 0 < num < den:
             continue
         if usq == -2 or (usq >= 0 and pairing(cfg, u, v) > 0):
             seen.add(u.as_tuple())
-            atoms.append((u, ph))
+            atoms.append((u, num))
     # spherical classes of either sign count once their phase is positive
     for s in _spherical_members(cfg, wall):
         for cand in (s, -s):
-            ph = func.phi(cand)
-            if 0 < ph < 1 and cand.as_tuple() not in seen:
+            num = func.numerator(cand)
+            if 0 < num < den and cand.as_tuple() not in seen:
                 seen.add(cand.as_tuple())
-                atoms.append((cand, ph))
+                atoms.append((cand, num))
     atoms.sort(key=lambda pair: pair[0].as_tuple())
     return atoms
 
 
-def _max_parts(atoms, func: AlignmentFunctional) -> int:
-    phases = [ph for _, ph in atoms if ph > 0]
-    if not phases:
+def _max_parts(atoms, den: int) -> int:
+    """The part cap min(8, floor(1/phi_min) + 1) over the atom phases."""
+    if not atoms:
         return 1
-    return min(8, int(Fraction(1) / min(phases)) + 1)
+    return min(8, den // min(n for _, n in atoms) + 1)
 
 
-def two_term_decompositions(cfg: K3Config, wall: WallLattice):
-    """The two-part effective splittings, as (a, b) with a the smaller square."""
+def _two_part_splits(cfg: K3Config, decs):
+    """The two-part members of decs, as (a, b, dec) with a the smaller square."""
     out = []
-    for dec in effective_decompositions(cfg, wall):
+    for dec in decs:
         if len(dec.parts) == 2:
             a, b = dec.parts
             if (square(cfg, a), a.as_tuple()) > (square(cfg, b), b.as_tuple()):
                 a, b = b, a
             out.append((a, b, dec))
     return out
+
+
+def two_term_decompositions(cfg: K3Config, wall: WallLattice):
+    """The two-part effective splittings, as (a, b) with a the smaller square."""
+    return _two_part_splits(cfg, effective_decompositions(cfg, wall))
+
+
+def flop_cells_of(cfg: K3Config, decs):
+    """Two-part members of decs carrying a bundle cell (fiber dim >= 1)."""
+    return [(a, b, dec) for a, b, dec in _two_part_splits(cfg, decs)
+            if pairing(cfg, b, a) - 1 >= 1]
 
 
 def flop_cells(cfg: K3Config, wall: WallLattice):
@@ -355,8 +376,4 @@ def flop_cells(cfg: K3Config, wall: WallLattice):
     and contribute no exceptional cell, so they are listed by
     effective_decompositions but excluded here.
     """
-    out = []
-    for a, b, dec in two_term_decompositions(cfg, wall):
-        if pairing(cfg, b, a) - 1 >= 1:
-            out.append((a, b, dec))
-    return out
+    return flop_cells_of(cfg, effective_decompositions(cfg, wall))

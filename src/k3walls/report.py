@@ -13,6 +13,7 @@ from .analysis import WallSurvey, path_report, survey
 from .intmath import frac_str, sqrt_str
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import curve_str, divisor_str
+from .walls import enumerate_result
 
 SCHEMA_VERSION = 1
 
@@ -109,8 +110,8 @@ def path_document(
     t_max=None,
     window: int | None = None,
 ) -> dict:
-    sv = survey(cfg, v, window)
-    rep = path_report(cfg, v, b0, t_min, t_max, sv=sv)
+    enum = enumerate_result(cfg, v, "mov", window)
+    rep = path_report(cfg, v, b0, t_min, t_max, enum=enum)
     crossings = []
     for cr, idx in zip(rep.crossings, rep.wall_indices):
         crossings.append(
@@ -134,8 +135,8 @@ def path_document(
         "b": frac_str(Fraction(b0)),
         "t_min": frac_str(Fraction(t_min)),
         "t_max": frac_str(Fraction(t_max)) if t_max is not None else None,
-        "window": sv.window,
-        "window_stable": sv.stable,
+        "window": enum.window,
+        "window_stable": enum.stable,
         "crossings": crossings,
         "chambers_crossed": len(effective) + 1,
         "segments": segments,

@@ -215,11 +215,6 @@ def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
     return _classes_by_q(form, -2, bound)
 
 
-def isotropic_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
-    """All nonzero isotropic classes with |q| <= bound, primitive and not."""
-    return _classes_by_q(form, 0, bound)
-
-
 def _classes_by_q(form: GramForm2, d: int, bound: int) -> list[tuple[int, int]]:
     out = []
     for q in range(-bound, bound + 1):

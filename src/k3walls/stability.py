@@ -6,8 +6,9 @@ itself is never materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .intmath import frac_floor_sqrt
 from .lattice import K3Config, MukaiVector, pairing, square
@@ -134,21 +135,47 @@ class AlignmentFunctional:
     """Exact phase-comparison functional at a rational point on a wall.
 
     phi(x) is the real ratio Z(x)/Z(v) there; phi(v) = 1 and phi(x) > 0
-    exactly when Re(conj(Z(v)) * Z(x)) > 0.
+    exactly when Re(conj(Z(v)) * Z(x)) > 0.  phi is linear in x, so its
+    denominators are cleared once: phi(x) = numerator(x) / den with an
+    integer linear form numerator and a fixed integer den > 0 (den is 0
+    when the charge of v vanishes at the point).
     """
 
     cfg: K3Config
     v: MukaiVector
     b: Fraction
     t2: Fraction
+    weights: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        b, t2 = Fraction(self.b), Fraction(self.t2)
+        e = self.cfg.h2
+        rv, mv = _charge_parts(self.cfg, self.v, b, t2)
+        # Re(conj(Z(v)) Z(x)) = rv*Re(Z(x)) + t2*mv*Im-coeff(Z(x)), per coordinate
+        coeffs = (
+            -rv * Fraction(e, 2) * (b * b - t2) - t2 * mv * e * b,
+            rv * e * b + t2 * mv * e,
+            -rv,
+            rv * rv + t2 * mv * mv,
+        )
+        scale = lcm(*(q.denominator for q in coeffs))
+        ints = [int(q * scale) for q in coeffs]
+        content = gcd(*ints) or 1
+        if ints[3] < 0:
+            content = -content
+        *weights, den = (n // content for n in ints)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "den", den)
+
+    def numerator(self, x: MukaiVector) -> int:
+        wr, wc, ws = self.weights
+        return wr * x.r + wc * x.c + ws * x.s
 
     def phi(self, x: MukaiVector) -> Fraction:
-        rv, mv = _charge_parts(self.cfg, self.v, self.b, self.t2)
-        rx, mx = _charge_parts(self.cfg, x, self.b, self.t2)
-        denom = rv * rv + self.t2 * mv * mv
-        if denom == 0:
+        if self.den == 0:
             raise ValueError("charge of v vanishes at the chosen point")
-        return (rv * rx + self.t2 * mv * mx) / denom
+        return Fraction(self.numerator(x), self.den)
 
 
 def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fraction:

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 from k3walls import (
@@ -9,6 +12,7 @@ from k3walls import (
     mv,
     pairing,
     square,
+    survey,
 )
 from k3walls.classify import (
     DIVISORIAL_HC,
@@ -213,3 +217,44 @@ def test_classify_unsaturated_seed_is_hilbert_chow():
     assert verdict.kind == "divisorial"
     assert verdict.subtype == DIVISORIAL_HC
     assert verdict.totally_semistable
+
+
+def test_survey_analyses_each_wall_once(monkeypatch):
+    # survey reuses classify's arc for the split search, runs that search
+    # once per flopping wall and reads the bundle off its result
+    # the package re-exports the classify function under the module's name
+    classify_mod = importlib.import_module("k3walls.classify")
+    analysis_mod = importlib.import_module("k3walls.analysis")
+    v = mv(3, 1, -7)
+    arcs = Counter()
+    searches = Counter()
+    select_arc = classify_mod._select_arc
+    search = classify_mod.effective_decompositions
+
+    def counted_select_arc(cfg, wall):
+        arcs[wall.a.as_tuple()] += 1
+        return select_arc(cfg, wall)
+
+    def counted_search(cfg, wall, *args):
+        searches[wall.a.as_tuple()] += 1
+        return search(cfg, wall, *args)
+
+    monkeypatch.setattr(classify_mod, "_select_arc", counted_select_arc)
+    for mod in (classify_mod, analysis_mod):
+        monkeypatch.setattr(mod, "effective_decompositions", counted_search)
+    sv = survey(CFG, v)
+    monkeypatch.undo()
+
+    flopping = {r.a.as_tuple() for r in sv.records if r.verdict.is_flopping}
+    assert flopping
+    assert searches == Counter(dict.fromkeys(flopping, 1))
+    for rec in sv.records:
+        assert arcs[rec.a.as_tuple()] <= (0 if rec.wall.degenerate else 1)
+    for rec in sv.records:
+        if not rec.verdict.is_flopping:
+            assert rec.decompositions == () and rec.bundle is None
+            continue
+        assert list(rec.decompositions) == effective_decompositions(CFG, rec.wall)
+        cells = flop_cells(CFG, rec.wall)
+        expected = bundle_descriptor(CFG, v, cells[0][0]) if cells else None
+        assert rec.bundle == expected

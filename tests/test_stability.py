@@ -171,3 +171,34 @@ def test_wall_polynomial_matches_charge_cross_product(
     za = central_charge(CFG, a, b, t2)
     cross = zv.re * za.im_coeff - za.re * zv.im_coeff
     assert CFG.h2 * wall.cross_value(b, t2) == cross
+
+
+@given(
+    st.integers(2, 12),
+    small, small, small, small, small, small,
+    st.integers(-40, 40), st.integers(1, 12), st.integers(1, 60), st.integers(1, 12),
+)
+def test_integer_phi_matches_charge_ratio(g, r1, c1, s1, r2, c2, s2, bn, bd, tn, td):
+    # phi(x) = N(x)/D with integer N and fixed D > 0 must equal the exact
+    # ratio Re(conj Z(v) Z(x)) / |Z(v)|^2 read off central_charge
+    from fractions import Fraction as F
+
+    from k3walls import K3Config
+    from k3walls.stability import AlignmentFunctional
+
+    cfg = K3Config(g)
+    v, x = mv(r1, c1, s1), mv(r2, c2, s2)
+    b, t2 = F(bn, bd), F(tn, td)
+    func = AlignmentFunctional(cfg, v, b, t2)
+    zv = central_charge(cfg, v, b, t2)
+    zx = central_charge(cfg, x, b, t2)
+    if zv.vanishes:
+        with pytest.raises(ValueError):
+            func.phi(x)
+        return
+    assert func.den > 0
+    expected = (zv.re * zx.re + t2 * zv.im_coeff * zx.im_coeff) / (
+        zv.re**2 + t2 * zv.im_coeff**2
+    )
+    assert func.phi(x) == expected
+    assert func.phi(v) == 1
