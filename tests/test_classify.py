@@ -221,8 +221,9 @@ def test_classify_unsaturated_seed_is_hilbert_chow():
 
 def test_survey_analyses_each_wall_once(monkeypatch):
     # survey reuses classify's arc for the split search, runs that search
-    # once per flopping wall and reads the bundle off its result
-    # the package re-exports the classify function under the module's name
+    # once per flopping wall and reads the bundle off its result; the
+    # modules are imported by name because the package re-exports the
+    # classify function under the classify module's name
     classify_mod = importlib.import_module("k3walls.classify")
     analysis_mod = importlib.import_module("k3walls.analysis")
     v = mv(3, 1, -7)
@@ -250,7 +251,6 @@ def test_survey_analyses_each_wall_once(monkeypatch):
     assert searches == Counter(dict.fromkeys(flopping, 1))
     for rec in sv.records:
         assert arcs[rec.a.as_tuple()] <= (0 if rec.wall.degenerate else 1)
-    for rec in sv.records:
         if not rec.verdict.is_flopping:
             assert rec.decompositions == () and rec.bundle is None
             continue
