@@ -14,6 +14,7 @@ from .classify import (
     classify,
     effective_decompositions,
     flop_cells_of,
+    spherical_members,
 )
 from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
@@ -62,14 +63,15 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
     basis = enum.cone.basis
     records = []
     for idx, wall in enumerate(enum.walls):
-        verdict = classify(cfg, wall)
+        spherical = spherical_members(cfg, wall)
+        verdict = classify(cfg, wall, spherical)
         divisor = wall_divisor(cfg, v, wall.a, basis)
         curve = curve_class(cfg, v, divisor)
         decs = ()
         bundle = None
         if verdict.is_flopping and verdict.phase_point is not None:
             func = AlignmentFunctional(cfg, wall.v, *verdict.phase_point)
-            decs = tuple(effective_decompositions(cfg, wall, func))
+            decs = tuple(effective_decompositions(cfg, wall, func, spherical))
             cells = flop_cells_of(cfg, decs)
             if cells:
                 bundle = bundle_descriptor(cfg, v, cells[0][0])
@@ -134,6 +136,19 @@ def path_report(
     return PathReport(cfg, v, Fraction(b0), tuple(crossings), indices, degenerate)
 
 
+def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, window, same) -> bool:
+    """Equal wall counts for v and iso(v), and same(r1, r2) on every pair."""
+    sv1 = survey(cfg, v, window)
+    sv2 = survey(cfg, iso.apply(v), window)
+    return len(sv1.records) == len(sv2.records) and all(
+        same(r1, r2) for r1, r2 in zip(sv1.records, sv2.records)
+    )
+
+
+def _fiber_dim(rec: WallRecord) -> int | None:
+    return rec.bundle.fiber_dim if rec.bundle else None
+
+
 def transport_check(
     cfg: K3Config, v: MukaiVector, iso, window: int | None = None
 ) -> bool:
@@ -144,38 +159,27 @@ def transport_check(
     the divisorial Weyl action, for which only chain_structure_check is
     meaningful.
     """
-    sv1 = survey(cfg, v, window)
-    sv2 = survey(cfg, iso.apply(v), window)
-    if len(sv1.records) != len(sv2.records):
-        return False
-    for r1, r2 in zip(sv1.records, sv2.records):
+
+    def same(r1: WallRecord, r2: WallRecord) -> bool:
         img = iso.apply(r1.a)
-        if img.as_tuple() != r2.a.as_tuple() and (-img).as_tuple() != r2.a.as_tuple():
-            return False
-        if r1.verdict.kind != r2.verdict.kind:
-            return False
-        if (r1.bundle is None) != (r2.bundle is None):
-            return False
-        if r1.bundle and r1.bundle.fiber_dim != r2.bundle.fiber_dim:
-            return False
-    return True
+        return (
+            r2.a.as_tuple() in (img.as_tuple(), (-img).as_tuple())
+            and r1.verdict.kind == r2.verdict.kind
+            and _fiber_dim(r1) == _fiber_dim(r2)
+        )
+
+    return _surveys_agree(cfg, v, iso, window, same)
 
 
 def chain_structure_check(
     cfg: K3Config, v: MukaiVector, iso, window: int | None = None
 ) -> bool:
     """Agreement of wall counts, verdicts and fiber dimensions for v, iso(v)."""
-    sv1 = survey(cfg, v, window)
-    sv2 = survey(cfg, iso.apply(v), window)
-    if len(sv1.records) != len(sv2.records):
-        return False
-    for r1, r2 in zip(sv1.records, sv2.records):
-        if r1.verdict.kind != r2.verdict.kind:
-            return False
-        if r1.verdict.subtype != r2.verdict.subtype:
-            return False
-        d1 = r1.bundle.fiber_dim if r1.bundle else None
-        d2 = r2.bundle.fiber_dim if r2.bundle else None
-        if d1 != d2:
-            return False
-    return True
+
+    def same(r1: WallRecord, r2: WallRecord) -> bool:
+        return (
+            (r1.verdict.kind, r1.verdict.subtype, _fiber_dim(r1))
+            == (r2.verdict.kind, r2.verdict.subtype, _fiber_dim(r2))
+        )
+
+    return _surveys_agree(cfg, v, iso, window, same)

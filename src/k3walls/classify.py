@@ -13,13 +13,13 @@ from fractions import Fraction
 
 from .lattice import K3Config, MukaiVector, pairing, square
 from .solvers import (
-    classes_in_rank2,
     decomposition_solutions,
     lattice_points_in_parallelogram,
+    level_points,
     spherical_classes,
 )
 from .stability import AlignmentFunctional, alignment_candidates
-from .walls import WallLattice
+from .walls import WallLattice, divisorial_classes
 
 SPHERICAL_SEARCH_BOUND = 24
 
@@ -85,23 +85,23 @@ def bundle_descriptor(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> BundleDe
 
 def phase_functional(cfg: K3Config, wall: WallLattice) -> AlignmentFunctional | None:
     """Wall point used for all phase decisions about this wall."""
-    func, _, _ = _select_arc(cfg, wall)
+    func, _, _ = _select_arc(cfg, wall, spherical_members(cfg, wall))
     return func
 
 
 def _spherical_trigger(
-    cfg: K3Config, wall: WallLattice, func: AlignmentFunctional
+    cfg: K3Config, wall: WallLattice, func: AlignmentFunctional, spherical
 ) -> MukaiVector | None:
     """An effective spherical class pairing negatively with v at func, if any."""
     v = wall.v
-    for s in _spherical_members(cfg, wall):
+    for s in spherical:
         for cand in (s, -s):
             if pairing(cfg, cand, v) < 0 and func.phi(cand) > 0:
                 return cand
     return None
 
 
-def _select_arc(cfg: K3Config, wall: WallLattice):
+def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     """Choose the arc of the numerical wall that carries the verdict.
 
     Arcs where some spherical class of negative pairing turns effective are
@@ -109,16 +109,19 @@ def _select_arc(cfg: K3Config, wall: WallLattice):
     verdict belongs to the generic arc, so trigger-free arcs win, then arcs
     making both the representative and its complement effective.
 
+    spherical holds the wall's spherical classes (spherical_members).
     Returns (functional, trigger at that arc, arcs disagree on triggers).
     """
     if wall.degenerate:
         return None, None, False
-    cands = alignment_candidates(cfg, wall.v, wall.a, SPHERICAL_SEARCH_BOUND)
+    cands = alignment_candidates(
+        cfg, wall.v, wall.a, SPHERICAL_SEARCH_BOUND, spherical
+    )
     best = None
     best_key = None
     triggers_seen = set()
     for func in cands:
-        trig = _spherical_trigger(cfg, wall, func)
+        trig = _spherical_trigger(cfg, wall, func, spherical)
         triggers_seen.add(trig is not None)
         ph = func.phi(wall.a)
         key = (trig is None, 0 < ph < 1, ph > 0)
@@ -129,7 +132,14 @@ def _select_arc(cfg: K3Config, wall: WallLattice):
     return best[0], best[1], len(triggers_seen) > 1
 
 
-def _spherical_members(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
+def spherical_members(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
+    """The (-2)-classes p*v + q*a of the wall with |q| <= SPHERICAL_SEARCH_BOUND.
+
+    Solved once per wall and passed to every consumer; a degenerate
+    lattice holds no class of negative square.
+    """
+    if wall.degenerate:
+        return []
     out = []
     for p, q in spherical_classes(wall.gram, SPHERICAL_SEARCH_BOUND):
         s = wall.member(p, q)
@@ -139,7 +149,8 @@ def _spherical_members(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
     return out
 
 
-def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
+def classify(cfg: K3Config, wall: WallLattice, spherical=None) -> WallVerdict:
+    """The verdict on one wall; spherical defaults to spherical_members(wall)."""
     v = wall.v
     vsq = square(cfg, v)
     if wall.degenerate:
@@ -149,9 +160,7 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
     gram = wall.gram
     certs: list[Certificate] = []
 
-    bn = classes_in_rank2(gram, -2, 0)
-    hc = classes_in_rank2(gram, 0, 1)
-    lgu = classes_in_rank2(gram, 0, 2)
+    bn, hc, lgu = divisorial_classes(wall)
     for pq in bn:
         certs.append(Certificate(wall.member(*pq), "spherical_orthogonal"))
     for pq in hc:
@@ -159,7 +168,9 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
     for pq in lgu:
         certs.append(Certificate(wall.member(*pq), "isotropic_pairing_two"))
 
-    func, trigger, arc_sensitive = _select_arc(cfg, wall)
+    if spherical is None:
+        spherical = spherical_members(cfg, wall)
+    func, trigger, arc_sensitive = _select_arc(cfg, wall, spherical)
     point = (func.b, func.t2) if func is not None else None
 
     if hc:
@@ -177,10 +188,10 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
             "divisorial", subtype, tss, tuple(certs), point, proxy, arc_sensitive
         )
 
-    flop_sphericals = []
-    for k in range(1, vsq // 2 + 1):
-        for pq in classes_in_rank2(gram, -2, k):
-            flop_sphericals.append(wall.member(*pq))
+    flop_sphericals = [
+        wall.member(*pq)
+        for pq in level_points(gram, (gram.q11, gram.q12), range(1, vsq // 2 + 1), -2, -2)
+    ]
     if flop_sphericals:
         flop_sphericals.sort(key=lambda s: (pairing(cfg, s, v), s.as_tuple()))
         for s in flop_sphericals:
@@ -202,24 +213,20 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
 
 
 def _positive_two_term(cfg: K3Config, wall: WallLattice):
-    """Unordered splittings v = a + b with both parts of nonnegative square."""
+    """Unordered splittings v = a + b with both parts of nonnegative square.
+
+    a runs over the window classes of decomposition_solutions, so
+    0 < (a, v) <= v^2/2 <= (b, v); a pair with (a, v) = (b, v) is listed
+    once, in the order found first.
+    """
     v = wall.v
-    vsq = square(cfg, v)
-    out = []
-    seen = set()
+    out = {}
     for x, y in decomposition_solutions(cfg, v, wall.a):
         a = wall.member(y, x)  # solutions are (x, y) with a = x*a_i + y*v
-        if square(cfg, a) < 0:
-            continue
         b = v - a
-        if square(cfg, b) < 0 or pairing(cfg, a, v) <= 0 or pairing(cfg, b, v) <= 0:
-            continue
-        key = tuple(sorted((a.as_tuple(), b.as_tuple())))
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b) if pairing(cfg, a, v) <= pairing(cfg, b, v) else (b, a))
-    out.sort(key=lambda ab: (ab[0].as_tuple(), ab[1].as_tuple()))
-    return out
+        if square(cfg, a) >= 0 and square(cfg, b) >= 0:
+            out.setdefault(frozenset((a.as_tuple(), b.as_tuple())), (a, b))
+    return sorted(out.values(), key=lambda ab: (ab[0].as_tuple(), ab[1].as_tuple()))
 
 
 @dataclass(frozen=True)
@@ -230,7 +237,10 @@ class Decomposition:
 
 
 def effective_decompositions(
-    cfg: K3Config, wall: WallLattice, func: AlignmentFunctional | None = None
+    cfg: K3Config,
+    wall: WallLattice,
+    func: AlignmentFunctional | None = None,
+    spherical=None,
 ) -> list[Decomposition]:
     """Splittings v = sum of effective parts inside the wall lattice.
 
@@ -243,19 +253,23 @@ def effective_decompositions(
 
     Phases are taken at func, by default the wall point of phase_functional;
     the search compares the integer numerators of func over its fixed
-    denominator.
+    denominator.  spherical defaults to spherical_members(wall).  Each
+    multiset of parts is generated once: the parts come in atom order and
+    the closing complement is never an atom of lower index than the last.
     """
     if wall.degenerate:
         return []
+    if spherical is None:
+        spherical = spherical_members(cfg, wall)
     if func is None:
-        func = phase_functional(cfg, wall)
+        func = _select_arc(cfg, wall, spherical)[0]
         if func is None:
             return []
     v = wall.v
     den = func.den
-    atoms = _effective_atoms(cfg, wall, func)
+    atoms = _effective_atoms(cfg, wall, func, spherical)
+    index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
     results: list[Decomposition] = []
-    seen: set[tuple] = set()
 
     def admissible(u: MukaiVector, num: int) -> bool:
         if not 0 < num < den:
@@ -265,10 +279,6 @@ def effective_decompositions(
 
     def record(split: list[tuple[MukaiVector, int]]):
         parts = tuple(u for u, _ in split)
-        key = tuple(sorted(p.as_tuple() for p in parts))
-        if key in seen:
-            return
-        seen.add(key)
         phases = tuple(Fraction(n, den) for _, n in split)
         refinable = False
         if len(parts) == 2:
@@ -287,7 +297,8 @@ def effective_decompositions(
         # close the split with the complement, which need not sit in the window
         if chosen:
             last = v - total
-            if not last.is_zero and admissible(last, den - num):
+            if (not last.is_zero and index.get(last.as_tuple(), start) >= start
+                    and admissible(last, den - num)):
                 record(chosen + [(last, den - num)])
         if len(chosen) + 1 >= max_parts:
             return
@@ -311,32 +322,21 @@ def _coords_in_wall(cfg: K3Config, wall: WallLattice, x: MukaiVector):
     return (int(co[0]), int(co[1]))
 
 
-def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional):
-    """(class, phase numerator) pairs usable as split parts, phases in (0, 1)."""
-    v = wall.v
-    den = func.den
-    atoms = []
-    seen = set()
-    for x, y in decomposition_solutions(cfg, v, wall.a):
-        u = wall.member(y, x)
-        if u.as_tuple() in seen:
-            continue
-        usq = square(cfg, u)
+def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional, spherical):
+    """(class, phase numerator) pairs usable as split parts, phases in (0, 1).
+
+    The window classes of decomposition_solutions (square >= -2, positive
+    pairing) are all admissible, and so is every spherical class of either
+    sign; the phase decides.
+    """
+    classes = [wall.member(y, x) for x, y in decomposition_solutions(cfg, wall.v, wall.a)]
+    classes += [c for s in spherical for c in (s, -s)]
+    atoms = {}
+    for u in classes:
         num = func.numerator(u)
-        if not 0 < num < den:
-            continue
-        if usq == -2 or (usq >= 0 and pairing(cfg, u, v) > 0):
-            seen.add(u.as_tuple())
-            atoms.append((u, num))
-    # spherical classes of either sign count once their phase is positive
-    for s in _spherical_members(cfg, wall):
-        for cand in (s, -s):
-            num = func.numerator(cand)
-            if 0 < num < den and cand.as_tuple() not in seen:
-                seen.add(cand.as_tuple())
-                atoms.append((cand, num))
-    atoms.sort(key=lambda pair: pair[0].as_tuple())
-    return atoms
+        if 0 < num < func.den:
+            atoms[u.as_tuple()] = (u, num)
+    return [atoms[key] for key in sorted(atoms)]
 
 
 def _max_parts(atoms, den: int) -> int:

@@ -128,14 +128,6 @@ def mat_inverse_unimodular(m):
 MAT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def solve_2x2(a, b, c, d, e, f) -> tuple[Fraction, Fraction] | None:
-    """Solve [[a,b],[c,d]] (x,y)^T = (e,f)^T exactly; None if singular."""
-    det = a * d - b * c
-    if det == 0:
-        return None
-    return Fraction(e * d - b * f, det), Fraction(a * f - e * c, det)
-
-
 def hnf_two_rows(rows) -> list[tuple[int, int, int]]:
     """Row Hermite form of an integer row span of rank two; deterministic."""
     work = [list(r) for r in rows if any(r)]

@@ -151,28 +151,56 @@ def path_document(
     }
 
 
+def _wall_cells(w: dict) -> list[str]:
+    """One row of the walls table and CSV, in WALL_COLUMNS order."""
+    return [
+        str(w["i"]),
+        "({},{},{})".format(*w["a"]),
+        str(w["a2"]),
+        str(w["av"]),
+        w["kind"],
+        "yes" if w["tss"] else "no",
+        w["D_str"],
+        str(w["qD"]),
+        str(w["div"]),
+        w["R_str"],
+        w["qR"],
+        "" if w["r"] is None else str(w["r"]),
+        w["locus"] or "",
+    ]
+
+
+def _path_cells(c: dict) -> list[str]:
+    """One row of the path table and CSV."""
+    return [
+        str(c["wall"]),
+        c["t2"],
+        c["t"],
+        c["t_approx"],
+        "" if c["hole"] is None else "({},{},{})".format(*c["hole"]),
+    ]
+
+
+def _table_lines(rows: list[list[str]]) -> list[str]:
+    """Left-aligned columns, the header row underlined."""
+    widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
+    lines = []
+    for i, r in enumerate(rows):
+        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip())
+        if i == 0:
+            lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
+    return lines
+
+
+def _csv(header: list[str], rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_walls_table(doc: dict) -> str:
-    header = WALL_COLUMNS
-    rows = [header]
-    for w in doc["walls"]:
-        rows.append(
-            [
-                str(w["i"]),
-                "({},{},{})".format(*w["a"]),
-                str(w["a2"]),
-                str(w["av"]),
-                w["kind"],
-                "yes" if w["tss"] else "no",
-                w["D_str"],
-                str(w["qD"]),
-                str(w["div"]),
-                w["R_str"],
-                w["qR"],
-                "" if w["r"] is None else str(w["r"]),
-                w["locus"] or "",
-            ]
-        )
-    widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
     lines = [
         "walls for v = ({},{},{})  genus {}  (v,v) = {}".format(
             *doc["v"], doc["genus"], doc["square"]
@@ -185,10 +213,7 @@ def render_walls_table(doc: dict) -> str:
         ),
         "chambers: {}".format(doc["chambers"]),
     ]
-    for i, r in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip())
-        if i == 0:
-            lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
+    lines += _table_lines([WALL_COLUMNS] + [_wall_cells(w) for w in doc["walls"]])
     if not doc["window_stable"]:
         lines.append("warning: enumeration window unstable; rerun with --window")
     return "\n".join(lines) + "\n"
@@ -201,22 +226,7 @@ def render_path_table(doc: dict) -> str:
         )
     ]
     header = ["wall", "t^2", "t", "approx", "hole"]
-    rows = [header]
-    for c in doc["crossings"]:
-        rows.append(
-            [
-                str(c["wall"]),
-                c["t2"],
-                c["t"],
-                c["t_approx"],
-                "" if c["hole"] is None else "({},{},{})".format(*c["hole"]),
-            ]
-        )
-    widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
-    for i, r in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(r)).rstrip())
-        if i == 0:
-            lines.append("-" * (sum(widths) + 2 * (len(widths) - 1)))
+    lines += _table_lines([header] + [_path_cells(c) for c in doc["crossings"]])
     lines.append(f"chambers crossed: {doc['chambers_crossed']}")
     for warning in doc["hole_warnings"]:
         lines.append("warning: " + warning)
@@ -224,45 +234,11 @@ def render_path_table(doc: dict) -> str:
 
 
 def render_walls_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(WALL_COLUMNS)
-    for w in doc["walls"]:
-        writer.writerow(
-            [
-                w["i"],
-                "({},{},{})".format(*w["a"]),
-                w["a2"],
-                w["av"],
-                w["kind"],
-                "yes" if w["tss"] else "no",
-                w["D_str"],
-                w["qD"],
-                w["div"],
-                w["R_str"],
-                w["qR"],
-                "" if w["r"] is None else w["r"],
-                w["locus"] or "",
-            ]
-        )
-    return buf.getvalue()
+    return _csv(WALL_COLUMNS, [_wall_cells(w) for w in doc["walls"]])
 
 
 def render_path_csv(doc: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["wall", "t2", "t", "approx", "hole"])
-    for c in doc["crossings"]:
-        writer.writerow(
-            [
-                c["wall"],
-                c["t2"],
-                c["t"],
-                c["t_approx"],
-                "" if c["hole"] is None else "({},{},{})".format(*c["hole"]),
-            ]
-        )
-    return buf.getvalue()
+    return _csv(["wall", "t2", "t", "approx", "hole"], [_path_cells(c) for c in doc["crossings"]])
 
 
 def render_json(doc: dict) -> str:

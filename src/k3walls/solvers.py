@@ -1,13 +1,18 @@
 """Constrained binary-quadratic solvers behind wall search and decompositions.
 
-All solvers are exact: perfect-square tests use integer square roots and
-window parameters bound only genuinely free coordinates.
+Every question about the classes of a wall lattice (its divisorial,
+spherical and flopping classes, and the parts of its splittings) is one
+question: which integer points of a binary quadratic form lie on a family
+of parallel lines.  level_points answers it exactly, and the other
+lattice solvers here are single calls to it.  solve_square_with_pairing,
+the candidate search of the rank-three lattice, still scans its free
+coordinate over a window.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .intmath import sqrt_exact, xgcd
 from .lattice import K3Config, MukaiVector, pairing, square
@@ -32,13 +37,6 @@ class GramForm2:
 
     def value(self, p: int, q: int) -> int:
         return self.q11 * p * p + 2 * self.q12 * p * q + self.q22 * q * q
-
-    def pair(self, x: tuple[int, int], y: tuple[int, int]) -> int:
-        return (
-            self.q11 * x[0] * y[0]
-            + self.q12 * (x[0] * y[1] + x[1] * y[0])
-            + self.q22 * x[1] * y[1]
-        )
 
 
 def gram_of(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> GramForm2:
@@ -158,92 +156,89 @@ def solve_square_with_pairing(
     return out
 
 
+def level_points(
+    form: GramForm2, line: tuple[int, int], levels, lo: int, hi: int | None
+) -> list[tuple[int, int]]:
+    """Integer (p, q) != (0, 0) with l1*p + l2*q in levels and lo <= Q(p, q) <= hi.
+
+    Each level line is parametrised once from xgcd, so the square along it
+    is A*n^2 + B*n + C with A = Q(direction) shared by every level.  The
+    two bounds are either equal (Q = lo, solved through the exact square
+    root of the discriminant) or hi is None (Q >= lo, only bounded when
+    A < 0, solved by exact integer rounding of both roots).
+    """
+    if hi is not None and hi != lo:
+        raise ValueError("only Q = lo or Q >= lo is supported")
+    l1, l2 = line
+    x0, y0, g = xgcd(l1, l2)
+    if g == 0:
+        raise ValueError("the level form (0, 0) has no level lines")
+    dx, dy = l2 // g, -l1 // g
+    A = form.value(dx, dy)
+    if A == 0 or (hi is None and A > 0):
+        raise ValueError(f"level lines of {line} carry no bounded point set")
+    out: set[tuple[int, int]] = set()
+    for k in levels:
+        if k % g:
+            continue
+        p0, q0 = x0 * (k // g), y0 * (k // g)
+        # Q(p0 + dx*n, q0 + dy*n) - lo = A*n^2 + B*n + C
+        B = 2 * (form.q11 * p0 * dx + form.q12 * (p0 * dy + q0 * dx) + form.q22 * q0 * dy)
+        C = form.value(p0, q0) - lo
+        disc = B * B - 4 * A * C
+        if hi is None:
+            # -A*n^2 - B*n - C <= 0 between the roots (B -+ sqrt(disc)) / (-2A)
+            if disc < 0:
+                continue
+            root, den = isqrt(disc), -2 * A
+            ns = range(-((root - B) // den), (B + root) // den + 1)
+        else:
+            root = sqrt_exact(disc)
+            if root is None:
+                continue
+            ns = [num // (2 * A) for num in (-B + root, -B - root) if num % (2 * A) == 0]
+        for n in ns:
+            out.add((p0 + dx * n, q0 + dy * n))
+    out.discard((0, 0))
+    return sorted(out)
+
+
 def classes_in_rank2(
     form: GramForm2, d: int, pairing_with_v: int
 ) -> list[tuple[int, int]]:
     """All x = p*v + q*a with x^2 = d and (x, v) = pairing_with_v.
 
-    Eliminating p via the linear condition leaves q^2 * disc' = k^2 - d*v^2,
-    so solutions exist only when that ratio is a perfect square.
+    The basis vector v must have positive square (q11 > 0).
     """
     k = pairing_with_v
     q11, q12 = form.q11, form.q12
-    dp = form.disc_prime
-    out: list[tuple[int, int]] = []
-    if dp > 0 and q11 != 0:
-        num = k * k - d * q11
-        if num < 0 or num % dp:
-            return []
-        root = sqrt_exact(num // dp)
-        if root is None:
-            return []
-        for q in {root, -root}:
-            pnum = k - q12 * q
-            if pnum % q11 == 0:
-                pq = (pnum // q11, q)
-                if pq != (0, 0):
-                    out.append(pq)
-    elif dp == 0 and q11 != 0:
-        # degenerate lattice: q11 * value = (q11 p + q12 q)^2, so solutions
-        # fill the pairing line when k^2 = d * q11 and are empty otherwise
-        if k * k != d * q11:
-            return []
-        g = gcd(q11, q12)
-        if k % g:
-            return []
-        p0, q0, _ = xgcd(q11, q12)
-        p0 *= k // g
-        q0 *= k // g
-        dp_, dq_ = q12 // g, -q11 // g
-        for t in (-1, 0, 1):
-            pq = (p0 + dp_ * t, q0 + dq_ * t)
-            if pq != (0, 0) and form.value(*pq) == d:
-                out.append(pq)
-    else:
-        # q11 == 0: scan bounded window exactly
-        for p in range(-64, 65):
-            for q in range(-64, 65):
-                if (p, q) != (0, 0) and form.value(p, q) == d:
-                    if form.q11 * p + form.q12 * q == k:
-                        out.append((p, q))
+    if q11 <= 0:
+        raise ValueError(f"v^2 = {q11} is not positive")
+    if form.disc_prime != 0:
+        return level_points(form, (q11, q12), (k,), d, d)
+    # degenerate lattice: q11 * value = (q11 p + q12 q)^2, so solutions
+    # fill the pairing line when k^2 = d * q11 and are empty otherwise
+    if k * k != d * q11:
+        return []
+    g = gcd(q11, q12)
+    if k % g:
+        return []
+    p0, q0, _ = xgcd(q11, q12)
+    p0 *= k // g
+    q0 *= k // g
+    dp_, dq_ = q12 // g, -q11 // g
+    out = []
+    for t in (-1, 0, 1):
+        pq = (p0 + dp_ * t, q0 + dq_ * t)
+        if pq != (0, 0) and form.value(*pq) == d:
+            out.append(pq)
     out.sort()
     return out
 
 
 def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
-    """All (-2)-classes p*v + q*a with |q| <= bound, solved exactly per q."""
-    return _classes_by_q(form, -2, bound)
-
-
-def _classes_by_q(form: GramForm2, d: int, bound: int) -> list[tuple[int, int]]:
-    out = []
-    for q in range(-bound, bound + 1):
-        A = form.q11
-        B = 2 * form.q12 * q
-        C = form.q22 * q * q - d
-        if A != 0:
-            disc = B * B - 4 * A * C
-            root = sqrt_exact(disc)
-            if root is None:
-                continue
-            for num in (-B + root, -B - root):
-                if num % (2 * A) == 0:
-                    pq = (num // (2 * A), q)
-                    if pq != (0, 0) and pq not in out:
-                        out.append(pq)
-        elif B != 0:
-            if C % B == 0:
-                pq = (-C // B, q)
-                if pq != (0, 0) and pq not in out:
-                    out.append(pq)
-        elif C == 0 and q != 0:
-            # p free along a null direction; record the primitive choices
-            for p in (-1, 0, 1):
-                pq = (p, q)
-                if pq not in out:
-                    out.append(pq)
-    out.sort()
-    return out
+    """All (-2)-classes p*v + q*a with |q| <= bound (q11 > 0)."""
+    return level_points(form, (0, 1), range(-bound, bound + 1), -2, -2)
 
 
 def lattice_points_in_parallelogram(
@@ -284,57 +279,7 @@ def decomposition_solutions(
     """
     vsq = square(cfg, v)
     m = pairing(cfg, a_i, v)
-    asq = square(cfg, a_i)
-    if asq * vsq - m * m >= 0:
+    form = GramForm2(square(cfg, a_i), m, vsq)
+    if form.disc_prime <= 0:
         raise ValueError("lattice <v, a> is not of signature (1,1)")
-    out: list[tuple[int, int]] = []
-    g = gcd(m, vsq)
-    for k in range(1, vsq // 2 + 1):
-        if k % g:
-            continue
-        # particular solution of m*x + vsq*y = k
-        x0, y0, _ = xgcd(m, vsq)
-        x0 *= k // g
-        y0 *= k // g
-        dx, dy = vsq // g, -m // g
-        # square along the line: quadratic in n with negative leading term
-        A = asq * dx * dx + 2 * m * dx * dy + vsq * dy * dy
-        B = 2 * (asq * x0 * dx + m * (x0 * dy + y0 * dx) + vsq * y0 * dy)
-        C = asq * x0 * x0 + 2 * m * x0 * y0 + vsq * y0 * y0
-        if A >= 0:
-            raise AssertionError("pairing-level line is not timelike")
-        lo, hi = _quadratic_range_at_least(A, B, C + 2)
-        if lo is None:
-            continue
-        for n in range(lo, hi + 1):
-            x, y = x0 + dx * n, y0 + dy * n
-            usq = asq * x * x + 2 * m * x * y + vsq * y * y
-            if usq >= -2:
-                out.append((x, y))
-    out.sort()
-    return out
-
-
-def _quadratic_range_at_least(A: int, B: int, C: int):
-    """Integer n-range with A n^2 + B n + C >= 0 for A < 0; (None, None) if empty."""
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return None, None
-    root_hi = _isqrt_upper(disc)
-    # conservative symmetric bound on both real roots, then trim exactly
-    bound = (abs(B) + root_hi) // (2 * abs(A)) + 2
-    lo, hi = -bound, bound
-    while lo <= hi and A * lo * lo + B * lo + C < 0:
-        lo += 1
-    while hi >= lo and A * hi * hi + B * hi + C < 0:
-        hi -= 1
-    if lo > hi:
-        return None, None
-    return lo, hi
-
-
-def _isqrt_upper(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else r + 1
+    return level_points(form, (m, vsq), range(1, vsq // 2 + 1), -2, None)

@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .intmath import frac_floor_sqrt
-from .lattice import K3Config, MukaiVector, pairing, square
-from .solvers import GramForm2, spherical_classes
+from .lattice import K3Config, MukaiVector, square
+from .solvers import gram_of, spherical_classes
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,20 @@ def hole_point(cfg: K3Config, s: MukaiVector):
     return b, t2
 
 
-def holes(cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24):
+def holes(
+    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24, spherical=None
+):
     """Charge-vanishing points of spherical classes in <v, a>.
 
+    spherical lists those classes when the caller has solved them already;
+    otherwise the ones with |q| <= bound in p*v + q*a are solved here.
     Returns (b, t2, class) triples, one per +-pair, sorted by b.
     """
-    form = GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
+    if spherical is None:
+        spherical = [p * v + q * a for p, q in spherical_classes(gram_of(cfg, v, a), bound)]
     out = []
     seen = set()
-    for p, q in spherical_classes(form, bound):
-        s = p * v + q * a
+    for s in spherical:
         if s.r < 0 or (s.r == 0 and (s.c, s.s) < (0, 0)):
             s = -s
         pt = hole_point(cfg, s)
@@ -190,18 +194,19 @@ def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fractio
 
 
 def alignment_candidates(
-    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24
+    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24, spherical=None
 ) -> list[AlignmentFunctional]:
     """One rational sample point per arc of the wall of <v, a>.
 
     The holes of spherical classes of <v, a> all lie on the wall and split
     it into arcs on which the sign data differs; one hole-free point is
     produced for every arc the search window can see, plus the apex.
+    spherical is passed on to holes.
     """
     wall = numerical_wall(cfg, v, a)
     if wall.shape == "empty":
         return []
-    hole_list = holes(cfg, v, a, bound)
+    hole_list = holes(cfg, v, a, bound, spherical)
     if wall.shape == "semicircle":
         c, r2 = wall.center_b, wall.radius_sq
         # every hole lies strictly inside the circle; push the rational
@@ -254,10 +259,6 @@ class PathCrossing:
     wall_index: int
     a: MukaiVector
     hole_collision: MukaiVector | None = None
-
-    @property
-    def at_hole(self) -> bool:
-        return self.hole_collision is not None
 
 
 def path_crossings(

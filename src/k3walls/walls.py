@@ -2,6 +2,8 @@
 
 Candidate lattices come from the families (a,a) in {-2, 0} with
 0 <= (a,v) <= v^2/2, saturated and deduplicated by their orthogonal line.
+The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
+one degenerate wall per ray; the others are scanned over a window.
 The movable sector is bootstrapped: an ample-side anchor ray is computed
 from a large-volume charge, the nearest divisorial wall on each side of it
 bounds the sector, and a positive-cone null ray closes any side without a
@@ -9,7 +11,7 @@ divisorial wall.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +22,7 @@ from .intmath import (
     kernel_basis_int,
     lex_sign,
     primitive_vector,
+    sqrt_exact,
     vec_content,
     xgcd,
 )
@@ -158,17 +161,17 @@ def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattic
     return WallLattice(v, a, u, gram, line, (0, 0), degenerate, norm_ok)
 
 
-def _is_divisorial_lattice(cfg: K3Config, wall: WallLattice) -> bool:
+def divisorial_classes(wall: WallLattice):
+    """The (x^2, (x, v)) = (-2, 0), (0, 1), (0, 2) classes of a wall lattice.
+
+    These are its Brill-Noether, Hilbert-Chow and Li-Gieseker-Uhlenbeck
+    classes, as (p, q) coordinates in the basis (v, a); the wall is
+    divisorial exactly when one of the three lists is non-empty.  A
+    degenerate lattice has none.
+    """
     if wall.degenerate:
-        return False
-    g = wall.gram
-    if classes_in_rank2(g, -2, 0):
-        return True
-    return bool(classes_in_rank2(g, 0, 1) or classes_in_rank2(g, 0, 2))
-
-
-def _is_hc_lattice(cfg: K3Config, wall: WallLattice) -> bool:
-    return not wall.degenerate and bool(classes_in_rank2(wall.gram, 0, 1))
+        return [], [], []
+    return tuple(classes_in_rank2(wall.gram, d, k) for d, k in ((-2, 0), (0, 1), (0, 2)))
 
 
 class SectorError(ValueError):
@@ -281,8 +284,6 @@ def _gieseker_anchor(
 
 def _null_rays(gram: tuple[int, int, int]) -> list[tuple[int, int]]:
     """Primitive rational null rays of the NS form, if any (one per line)."""
-    from .intmath import sqrt_exact
-
     g11, g12, g22 = gram
     raw: list[tuple[int, int]] = []
     if g11 == 0 and g22 == 0:
@@ -320,24 +321,15 @@ def movable_cone(
     cfg: K3Config, v: MukaiVector, candidates: list[WallLattice], basis: NSBasis
 ) -> MovableCone:
     anchor = _gieseker_anchor(cfg, v, basis, [w.a for w in candidates])
-    gram = basis.gram(cfg)
-
-    def qform(x, y):
-        g11, g12, g22 = gram
-        return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
-
-    assert qform(anchor, anchor) > 0
-
-    def orient(ray):
-        val = qform(ray, anchor)
-        if val == 0:
-            raise SectorError(f"ray {ray} orthogonal to anchor")
-        return ray if val > 0 else (-ray[0], -ray[1])
+    # the boundaries are filled in once they are known
+    cone = MovableCone(basis, basis.gram(cfg), anchor, anchor, anchor, "", "")
+    assert cone.q(anchor, anchor) > 0
 
     div_rays = []
     for w in candidates:
-        if _is_divisorial_lattice(cfg, w):
-            div_rays.append((orient(_ray_coords(basis, w.line)), _is_hc_lattice(cfg, w)))
+        bn, hc, lgu = divisorial_classes(w)
+        if bn or hc or lgu:
+            div_rays.append((cone.orient(_ray_coords(basis, w.line)), bool(hc)))
 
     def side(ray):
         d = det2(anchor, ray)
@@ -360,7 +352,7 @@ def movable_cone(
         if cur is None or closer(ray, cur[0]) == ray:
             best[sd] = (ray, is_hc)
 
-    nulls = [orient(n) for n in _null_rays(gram)]
+    nulls = [cone.orient(n) for n in _null_rays(cone.gram)]
     bounds = {}
     for sd in (1, -1):
         if best[sd] is not None:
@@ -381,9 +373,7 @@ def movable_cone(
         key=lambda b: (b[1] != "divisorial", not b[2], b[0]),
     )
     start, end = ordered[0], ordered[1]
-    return MovableCone(
-        basis, gram, anchor, start[0], end[0], start[1], end[1]
-    )
+    return replace(cone, start=start[0], end=end[0], start_kind=start[1], end_kind=end[1])
 
 
 @dataclass(frozen=True)
@@ -398,16 +388,21 @@ def default_window(cfg: K3Config, v: MukaiVector) -> int:
     return max(32, DEFAULT_WINDOW_FACTOR * square(cfg, v))
 
 
-def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int):
+def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis):
     vsq = square(cfg, v)
     found: dict[tuple[int, int, int], WallLattice] = {}
     for d in (-2, 0):
-        for m in range(0, vsq // 2 + 1):
+        for m in range(1 if d == 0 else 0, vsq // 2 + 1):
             for a in solve_square_with_pairing(cfg, v, d, m, window):
                 if not any(cross3(v.as_tuple(), a.as_tuple())):
                     continue
                 wall = build_wall(cfg, v, a)
                 found.setdefault(wall.line.as_tuple(), wall)
+    # the classes with a^2 = 0 = (a, v) are the multiples of the null rays
+    # of v-perp, one degenerate wall per ray, found without a window
+    for x, y in _null_rays(basis.gram(cfg)):
+        wall = build_wall(cfg, v, basis.from_coords(x, y))
+        found.setdefault(wall.line.as_tuple(), wall)
     return found
 
 
@@ -426,7 +421,7 @@ def enumerate_result(
     basis = lambda_basis(cfg, v)
 
     def run(win: int):
-        cands = _candidate_walls(cfg, v, win)
+        cands = _candidate_walls(cfg, v, win, basis)
         cone = movable_cone(cfg, v, list(cands.values()), basis)
         if sector == "mov":
             kept = {

@@ -221,20 +221,28 @@ def test_classify_unsaturated_seed_is_hilbert_chow():
 
 def test_survey_analyses_each_wall_once(monkeypatch):
     # survey reuses classify's arc for the split search, runs that search
-    # once per flopping wall and reads the bundle off its result; the
-    # modules are imported by name because the package re-exports the
-    # classify function under the classify module's name
+    # once per flopping wall, reads the bundle off its result and solves
+    # each wall's spherical classes once; the modules are imported by name
+    # because the package re-exports the classify function under the
+    # classify module's name
     classify_mod = importlib.import_module("k3walls.classify")
     analysis_mod = importlib.import_module("k3walls.analysis")
+    stability_mod = importlib.import_module("k3walls.stability")
     v = mv(3, 1, -7)
     arcs = Counter()
     searches = Counter()
+    sphericals = Counter()
     select_arc = classify_mod._select_arc
     search = classify_mod.effective_decompositions
+    solve_spherical = classify_mod.spherical_classes
 
-    def counted_select_arc(cfg, wall):
+    def counted_select_arc(cfg, wall, *args):
         arcs[wall.a.as_tuple()] += 1
-        return select_arc(cfg, wall)
+        return select_arc(cfg, wall, *args)
+
+    def counted_spherical(form, bound):
+        sphericals[form] += 1
+        return solve_spherical(form, bound)
 
     def counted_search(cfg, wall, *args):
         searches[wall.a.as_tuple()] += 1
@@ -243,12 +251,15 @@ def test_survey_analyses_each_wall_once(monkeypatch):
     monkeypatch.setattr(classify_mod, "_select_arc", counted_select_arc)
     for mod in (classify_mod, analysis_mod):
         monkeypatch.setattr(mod, "effective_decompositions", counted_search)
+    for mod in (classify_mod, stability_mod):
+        monkeypatch.setattr(mod, "spherical_classes", counted_spherical)
     sv = survey(CFG, v)
     monkeypatch.undo()
 
     flopping = {r.a.as_tuple() for r in sv.records if r.verdict.is_flopping}
     assert flopping
     assert searches == Counter(dict.fromkeys(flopping, 1))
+    assert sphericals == Counter(r.wall.gram for r in sv.records if not r.wall.degenerate)
     for rec in sv.records:
         assert arcs[rec.a.as_tuple()] <= (0 if rec.wall.degenerate else 1)
         if not rec.verdict.is_flopping:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from k3walls import (
     solve_square_with_pairing,
     square,
 )
-from k3walls.solvers import gram_of, spherical_classes
+from k3walls.solvers import gram_of, level_points, spherical_classes
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -155,3 +157,91 @@ def test_gram_of():
     assert (g.q11, g.q12, g.q22) == (8, 2, -2)
     assert g.disc == -20
     assert g.disc_prime == 20
+
+
+def _brute_level_points(form, line, levels, lo, hi, bound):
+    out = set()
+    for p in range(-bound, bound + 1):
+        for q in range(-bound, bound + 1):
+            val = form.value(p, q)
+            if ((p, q) != (0, 0) and line[0] * p + line[1] * q in levels
+                    and lo <= val and (hi is None or val <= hi)):
+                out.add((p, q))
+    return out
+
+
+BOX = 40
+FORMS = st.tuples(st.integers(1, 12), st.integers(-8, 8), st.integers(-12, 12)).filter(
+    lambda f: f[1] * f[1] - f[0] * f[2] > 0
+)
+LINES = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda l: l != (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(FORMS, LINES, st.sets(st.integers(-12, 12), max_size=6), st.integers(-12, 12),
+       st.booleans())
+def test_level_points_match_box_scan(coeffs, line, levels, lo, equality):
+    # the roots along most level lines are irrational, so the lower-bound
+    # mode exercises the integer rounding at both ends of each interval
+    form = GramForm2(*coeffs)
+    l1, l2 = line
+    g = gcd(l1, l2)
+    A = form.value(l2 // g, -l1 // g)
+    hi = lo if equality else None
+    if A == 0 or (not equality and A > 0):
+        with pytest.raises(ValueError):
+            level_points(form, line, levels, lo, hi)
+        return
+    got = level_points(form, line, levels, lo, hi)
+    assert got == sorted(set(got))
+    for p, q in got:
+        assert (p, q) != (0, 0) and l1 * p + l2 * q in levels
+        assert form.value(p, q) == lo if equality else form.value(p, q) >= lo
+    inside = {pq for pq in got if max(abs(pq[0]), abs(pq[1])) <= BOX}
+    assert inside == _brute_level_points(form, line, levels, lo, hi, BOX)
+
+
+def test_level_points_rejects_unsupported_bounds():
+    with pytest.raises(ValueError):
+        level_points(H1, (1, 0), [1], -2, 0)  # a band, not Q = lo or Q >= lo
+    with pytest.raises(ValueError):
+        level_points(H1, (0, 0), [0], -2, -2)
+    with pytest.raises(ValueError):
+        level_points(H1, (0, 1), [1], -2, None)  # A = 8 > 0: unbounded
+    with pytest.raises(ValueError):
+        classes_in_rank2(GramForm2(0, 1, 2), 0, 1)  # v^2 must be positive
+
+
+def test_decomposition_solutions_keep_irrational_root_ends():
+    # on this wall the square along the level lines has irrational roots;
+    # (-5, 3) sits at the end of its interval
+    sols = decomposition_solutions(K3Config(9), mv(3, 2, -6), mv(1, 1, -4))
+    assert sols == [(-5, 3), (-3, 2), (-1, 1), (1, 0), (3, -1), (5, -2)]
+
+
+VECS = st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.integers(-6, 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), VECS, VECS)
+def test_decomposition_solutions_match_box_scan(g, vt, at):
+    cfg = K3Config(g)
+    v, a = mv(*vt), mv(*at)
+    vsq, m, asq = square(cfg, v), pairing(cfg, a, v), square(cfg, a)
+    if vsq <= 0:
+        return
+    if m * m - asq * vsq <= 0:
+        with pytest.raises(ValueError):
+            decomposition_solutions(cfg, v, a)
+        return
+    got = decomposition_solutions(cfg, v, a)
+    brute = set()
+    for x in range(-BOX, BOX + 1):
+        for y in range(-BOX, BOX + 1):
+            u = x * a + y * v
+            if square(cfg, u) >= -2 and 0 < pairing(cfg, u, v) <= vsq // 2:
+                brute.add((x, y))
+    assert {xy for xy in got if max(abs(xy[0]), abs(xy[1])) <= BOX} == brute
+    for x, y in got:
+        u = x * a + y * v
+        assert square(cfg, u) >= -2 and 0 < pairing(cfg, u, v) <= vsq // 2

@@ -221,3 +221,11 @@ def test_higher_genus_oracle():
     cfg3 = K3Config(3)
     brute, enumerated = _brute_mov_rays(mv(1, 0, -2), bound=8, cfg=cfg3, window=64)
     assert brute <= enumerated
+
+
+def test_isotropic_walls_come_from_every_null_ray():
+    # the classes with a^2 = 0 = (a, v) are multiples of the null rays of
+    # v-perp; a window scan of that family misses the ray of (50, 35, 98)
+    res = enumerate_result(K3Config(5), mv(5, 3, 7), "positive", 32)
+    lines = {w.line.as_tuple() for w in res.walls if w.degenerate}
+    assert lines == {(2, 1, 2), (50, 35, 98)}
