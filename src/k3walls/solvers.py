@@ -4,18 +4,20 @@ Every question about the classes of a wall lattice (its divisorial,
 spherical and flopping classes, and the parts of its splittings) is one
 question: which integer points of a binary quadratic form lie on a family
 of parallel lines.  level_points answers it exactly, and the other
-lattice solvers here are single calls to it.  solve_square_with_pairing,
-the candidate search of the rank-three lattice, still scans its free
-coordinate over a window.
+solvers here are single calls to it.  That includes
+solve_square_with_pairing, the candidate search of the rank-three
+lattice: it solves for the wall divisors v^2*a - (a,v)*v on the form of
+v-perp, along the level lines of one coordinate, which a window bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
-from .intmath import sqrt_exact, xgcd
+from .intmath import xgcd
 from .lattice import K3Config, MukaiVector, pairing, square
+from .nsgeom import lambda_basis
 
 
 @dataclass(frozen=True)
@@ -43,115 +45,45 @@ def gram_of(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> GramForm2:
     return GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
 
 
-def _window_range(window) -> range:
-    if isinstance(window, int):
-        return range(-window, window + 1)
-    lo, hi = window
-    return range(lo, hi + 1)
-
-
 def solve_square_with_pairing(
     cfg: K3Config,
     v: MukaiVector,
     d: int,
     m: int,
-    window,
+    window: int,
 ) -> list[MukaiVector]:
-    """All a with (a,a) = d and (a,v) = m, free coordinate inside window.
+    """All a with (a,a) = d and (a,v) = m whose free coordinate is within window.
 
-    The two constraints cut a conic in the rank-three lattice; one
-    coordinate is eliminated exactly, the remaining free one is scanned
-    over the window.  Degenerate eliminations fall back to a bounded scan.
+    The free coordinate is c, or r when v = (0, c, 0); v is primitive with
+    v^2 > 0.  The wall divisors D = v^2*a - m*v solve D^2 = v^2*(v^2*d - m^2)
+    in v-perp on the levels v^2*t - m*(free coordinate of v), |t| <= window,
+    and a = (D + m*v)/v^2 is kept when integral.  (d, m) = (0, 0), the null
+    lines of v-perp, raises ValueError.
     """
     if d % 2 != 0 or d < -2:
         raise ValueError(f"square must be even and >= -2, got {d}")
     vsq = square(cfg, v)
     if not 0 <= 2 * m <= vsq:
         raise ValueError(f"pairing {m} outside [0, {vsq}/2]")
-    e = cfg.h2
-    rv, cv, sv = v.as_tuple()
+    if d == 0 == m:
+        raise ValueError("(a,a) = 0 = (a,v) is a union of null lines, not a finite family")
+    basis = lambda_basis(cfg, v)
+    i = 0 if v.r == 0 == v.s else 1
+    e1, e2, vt = basis.e1.as_tuple(), basis.e2.as_tuple(), v.as_tuple()
+    offset = -m * vt[i]
+    levels = range(offset - window * vsq, offset + window * vsq + 1, vsq)
+    form = GramForm2(*basis.gram(cfg))
+    norm = vsq * (vsq * d - m * m)
     out: list[MukaiVector] = []
-    seen: set[tuple[int, int, int]] = set()
-
-    def emit(r: int, c: int, s: int) -> None:
-        a = MukaiVector(r, c, s)
-        key = a.as_tuple()
-        if key in seen:
-            return
+    for x, y in level_points(form, (e1[i], e2[i]), levels, norm, norm):
+        num = [x * p + y * q + m * w for p, q, w in zip(e1, e2, vt)]
+        if any(t % vsq for t in num):
+            continue
+        a = MukaiVector(*(t // vsq for t in num))
         # exact re-verification of both defining equations
         if square(cfg, a) != d or pairing(cfg, a, v) != m:
             raise AssertionError(f"solver produced invalid class {a}")
-        seen.add(key)
         out.append(a)
-
-    rng = _window_range(window)
-    if rv != 0:
-        # s = (e*cv*c - sv*r - m)/rv; substitute into e*c^2 - 2rs = d
-        for c in rng:
-            A = 2 * sv
-            B = 2 * m - 2 * e * cv * c
-            C = e * rv * c * c - d * rv
-            if A != 0:
-                disc = B * B - 4 * A * C
-                root = sqrt_exact(disc)
-                if root is None:
-                    continue
-                for num in (-B + root, -B - root):
-                    if num % (2 * A):
-                        continue
-                    r = num // (2 * A)
-                    snum = e * cv * c - sv * r - m
-                    if snum % rv:
-                        continue
-                    emit(r, c, snum // rv)
-            elif B != 0:
-                if C % B:
-                    continue
-                r = -C // B
-                snum = e * cv * c - sv * r - m
-                if snum % rv == 0:
-                    emit(r, c, snum // rv)
-            else:
-                if C != 0:
-                    continue
-                # equation independent of r: bounded triple scan
-                for r in rng:
-                    snum = e * cv * c - sv * r - m
-                    if snum % rv == 0:
-                        emit(r, c, snum // rv)
-    elif cv != 0:
-        if sv != 0:
-            for c in rng:
-                num = e * cv * c - m
-                if num % sv:
-                    continue
-                r = num // sv
-                if r != 0:
-                    n2 = e * c * c - d
-                    if n2 % (2 * r) == 0:
-                        emit(r, c, n2 // (2 * r))
-                else:
-                    if e * c * c == d:
-                        for s in rng:
-                            emit(0, c, s)
-        else:
-            num = m
-            den = e * cv
-            if num % den == 0:
-                c = num // den
-                n2 = e * c * c - d
-                if n2 == 0:
-                    for r in rng:
-                        if r != 0:
-                            emit(r, c, 0)
-                    for s in rng:
-                        emit(0, c, s)
-                else:
-                    for r in rng:
-                        if r != 0 and n2 % (2 * r) == 0:
-                            emit(r, c, n2 // (2 * r))
-    else:
-        raise ValueError("v = (0, 0, s) spans no positive-square direction")
     out.sort(key=lambda a: a.as_tuple())
     return out
 
@@ -161,11 +93,14 @@ def level_points(
 ) -> list[tuple[int, int]]:
     """Integer (p, q) != (0, 0) with l1*p + l2*q in levels and lo <= Q(p, q) <= hi.
 
-    Each level line is parametrised once from xgcd, so the square along it
-    is A*n^2 + B*n + C with A = Q(direction) shared by every level.  The
-    two bounds are either equal (Q = lo, solved through the exact square
-    root of the discriminant) or hi is None (Q >= lo, only bounded when
-    A < 0, solved by exact integer rounding of both roots).
+    The level line k is j*(x0, y0) + n*(dx, dy) from xgcd, j = k/g, so Q
+    along it is A*n^2 + 2*j*b*n + j^2*Q(x0, y0), where A = Q(dx, dy) and the
+    pairing b of the two vectors are shared by every level; their determinant
+    is -1, so a quarter of the discriminant of Q - lo is Delta*j^2 + A*lo
+    with Delta = q12^2 - q11*q22.  Either hi = lo (exact square root, or one
+    linear root on null lines, A = 0; a line that solves throughout raises
+    ValueError) or hi is None (Q >= lo, bounded only when A < 0; exact
+    integer rounding of both roots).
     """
     if hi is not None and hi != lo:
         raise ValueError("only Q = lo or Q >= lo is supported")
@@ -175,30 +110,39 @@ def level_points(
         raise ValueError("the level form (0, 0) has no level lines")
     dx, dy = l2 // g, -l1 // g
     A = form.value(dx, dy)
-    if A == 0 or (hi is None and A > 0):
+    if hi is None and A >= 0:
         raise ValueError(f"level lines of {line} carry no bounded point set")
+    b = form.q11 * x0 * dx + form.q12 * (x0 * dy + y0 * dx) + form.q22 * y0 * dy
+    q0 = form.value(x0, y0)
+    delta = form.disc_prime
     out: set[tuple[int, int]] = set()
     for k in levels:
         if k % g:
             continue
-        p0, q0 = x0 * (k // g), y0 * (k // g)
-        # Q(p0 + dx*n, q0 + dy*n) - lo = A*n^2 + B*n + C
-        B = 2 * (form.q11 * p0 * dx + form.q12 * (p0 * dy + q0 * dx) + form.q22 * q0 * dy)
-        C = form.value(p0, q0) - lo
-        disc = B * B - 4 * A * C
-        if hi is None:
-            # -A*n^2 - B*n - C <= 0 between the roots (B -+ sqrt(disc)) / (-2A)
-            if disc < 0:
+        j = k // g
+        jb = j * b
+        if A == 0:
+            # Q - lo = 2*jb*n + j^2*q0 - lo is linear in n
+            const = j * j * q0 - lo
+            if jb == 0:
+                if const == 0:
+                    raise ValueError(f"every point of the level line {k} of {line} solves")
                 continue
-            root, den = isqrt(disc), -2 * A
-            ns = range(-((root - B) // den), (B + root) // den + 1)
+            ns = [-const // (2 * jb)] if const % (2 * jb) == 0 else []
         else:
-            root = sqrt_exact(disc)
-            if root is None:
+            # the roots of A*n^2 + 2*jb*n + C are (-jb -+ sqrt(quarter)) / A
+            quarter = delta * j * j + A * lo
+            if quarter < 0:
                 continue
-            ns = [num // (2 * A) for num in (-B + root, -B - root) if num % (2 * A) == 0]
+            root = isqrt(quarter)
+            if hi is None:  # Q >= lo between the roots, as A < 0
+                ns = range(-((root - jb) // -A), (jb + root) // -A + 1)
+            elif root * root == quarter:
+                ns = [num // A for num in (root - jb, -root - jb) if num % A == 0]
+            else:
+                continue
         for n in ns:
-            out.add((p0 + dx * n, q0 + dy * n))
+            out.add((j * x0 + n * dx, j * y0 + n * dy))
     out.discard((0, 0))
     return sorted(out)
 
@@ -208,32 +152,12 @@ def classes_in_rank2(
 ) -> list[tuple[int, int]]:
     """All x = p*v + q*a with x^2 = d and (x, v) = pairing_with_v.
 
-    The basis vector v must have positive square (q11 > 0).
+    The basis vector v must have positive square (q11 > 0).  On a degenerate
+    lattice the pairing line is null: no solution, or ValueError if all solve.
     """
-    k = pairing_with_v
-    q11, q12 = form.q11, form.q12
-    if q11 <= 0:
-        raise ValueError(f"v^2 = {q11} is not positive")
-    if form.disc_prime != 0:
-        return level_points(form, (q11, q12), (k,), d, d)
-    # degenerate lattice: q11 * value = (q11 p + q12 q)^2, so solutions
-    # fill the pairing line when k^2 = d * q11 and are empty otherwise
-    if k * k != d * q11:
-        return []
-    g = gcd(q11, q12)
-    if k % g:
-        return []
-    p0, q0, _ = xgcd(q11, q12)
-    p0 *= k // g
-    q0 *= k // g
-    dp_, dq_ = q12 // g, -q11 // g
-    out = []
-    for t in (-1, 0, 1):
-        pq = (p0 + dp_ * t, q0 + dq_ * t)
-        if pq != (0, 0) and form.value(*pq) == d:
-            out.append(pq)
-    out.sort()
-    return out
+    if form.q11 <= 0:
+        raise ValueError(f"v^2 = {form.q11} is not positive")
+    return level_points(form, (form.q11, form.q12), (pairing_with_v,), d, d)
 
 
 def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:

@@ -3,7 +3,8 @@
 Candidate lattices come from the families (a,a) in {-2, 0} with
 0 <= (a,v) <= v^2/2, saturated and deduplicated by their orthogonal line.
 The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
-one degenerate wall per ray; the others are scanned over a window.
+one degenerate wall per ray; the others are solved in v-perp with one
+coordinate bounded by a window.
 The movable sector is bootstrapped: an ample-side anchor ray is computed
 from a large-volume charge, the nearest divisorial wall on each side of it
 bounds the sector, and a positive-cone null ray closes any side without a
@@ -84,19 +85,11 @@ def _radical_generator(cfg: K3Config, b1: MukaiVector, b2: MukaiVector) -> Mukai
     g12 = pairing(cfg, b1, b2)
     g22 = square(cfg, b2)
     # integer kernel of [[g11, g12], [g12, g22]]
-    if g11 == 0 and g12 == 0:
+    if g11 == 0 == g12:
         x, y = 1, 0
-    elif g12 == 0 and g22 == 0:
-        x, y = 0, 1
     else:
-        if g11 != 0 or g12 != 0:
-            x, y = -g12, g11
-        else:
-            x, y = g22, -g12
-        if x == 0 and y == 0:
-            raise ValueError("lattice is not degenerate")
-        g = gcd(x, y)
-        x, y = x // g, y // g
+        g = gcd(g11, g12)
+        x, y = -g12 // g, g11 // g
     rad = x * b1 + y * b2
     if square(cfg, rad) != 0:
         raise ValueError("lattice is not degenerate")
@@ -215,8 +208,12 @@ class MovableCone:
             return d1 >= 0 and d2 >= 0
         return d1 <= 0 and d2 <= 0
 
-    def position(self, ray: tuple[int, int]) -> Fraction:
-        """Exact sort parameter in [0, +inf]: 0 at start, growing toward end."""
+    def position(self, ray: tuple[int, int]) -> tuple[bool, Fraction]:
+        """Exact sort key from start to end.
+
+        (False, y/x), with y/x growing from 0 at start, for every ray but the
+        end ray, which gets (True, 0) and so sorts after all of them.
+        """
         u = self.orient(ray)
         sol = coords_in_basis(
             (self.start[0], self.start[1], 0), (self.end[0], self.end[1], 0),
@@ -228,8 +225,8 @@ class MovableCone:
         if x < 0 or y < 0:
             raise SectorError(f"ray {ray} lies outside the sector")
         if x == 0:
-            return Fraction(10**30)  # the end ray itself
-        return y / x
+            return (True, Fraction(0))
+        return (False, y / x)
 
 
 def _gieseker_anchor(
@@ -394,8 +391,6 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
     for d in (-2, 0):
         for m in range(1 if d == 0 else 0, vsq // 2 + 1):
             for a in solve_square_with_pairing(cfg, v, d, m, window):
-                if not any(cross3(v.as_tuple(), a.as_tuple())):
-                    continue
                 wall = build_wall(cfg, v, a)
                 found.setdefault(wall.line.as_tuple(), wall)
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays

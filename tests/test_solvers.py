@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3walls import (
     GramForm2,
@@ -31,8 +31,8 @@ HC = GramForm2(8, 1, 0)
 def test_solve_square_examples():
     sols = solve_square_with_pairing(CFG, VP, -2, 2, 8)
     assert mv(1, -1, 2) in sols
-    sols0 = solve_square_with_pairing(CFG, VP, 0, 0, 8)
-    assert mv(-1, 2, -4) in sols0
+    with pytest.raises(ValueError):
+        solve_square_with_pairing(CFG, VP, 0, 0, 8)  # the null rays of v-perp
     with pytest.raises(ValueError):
         solve_square_with_pairing(CFG, VP, -2, 7, 8)
     with pytest.raises(ValueError):
@@ -43,16 +43,17 @@ def test_solve_square_verifies_equations():
     for v in (VP, VM, mv(1, 0, -1), mv(0, 1, -1)):
         vsq = square(CFG, v)
         for d in (-2, 0):
-            for m in range(vsq // 2 + 1):
+            for m in range(1 if d == 0 else 0, vsq // 2 + 1):
                 for a in solve_square_with_pairing(CFG, v, d, m, 20):
                     assert square(CFG, a) == d
                     assert pairing(CFG, a, v) == m
 
 
 def test_solve_square_torsion_vector_families():
-    # rank-zero v: the free coordinate switches to c, with an s-free branch
-    sols = solve_square_with_pairing(CFG, VM, 0, 0, 6)
-    assert mv(0, 0, 1) in sols or mv(0, 0, -1) in sols
+    # rank-zero v: the level lines of c are null in v-perp
+    assert mv(1, 0, 0) in solve_square_with_pairing(CFG, VM, 0, 1, 6)
+    # v = (0, 1, 0): the free coordinate is r
+    assert solve_square_with_pairing(CFG, mv(0, 1, 0), -2, 0, 3) == [mv(-1, 0, -1), mv(1, 0, 1)]
 
 
 def _brute_classes(form, d, k, bound=50):
@@ -78,7 +79,8 @@ def test_classes_in_rank2_examples():
     assert classes_in_rank2(H1, 0, 1) == []
     assert classes_in_rank2(H1, 0, 5) == []
     assert (0, 1) in classes_in_rank2(H1, -2, 2)
-    assert (0, 1) in classes_in_rank2(H5, 0, 0)
+    with pytest.raises(ValueError):
+        classes_in_rank2(H5, 0, 0)  # degenerate: the whole pairing line solves
 
 
 def test_spherical_classes_brute():
@@ -180,6 +182,9 @@ LINES = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda l: l != 
 @settings(max_examples=150, deadline=None)
 @given(FORMS, LINES, st.sets(st.integers(-12, 12), max_size=6), st.integers(-12, 12),
        st.booleans())
+# null level lines (A = 0): one point per level, and a whole solving line
+@example((1, 1, 0), (1, 0), {0, 1, 2, 3}, -3, True)
+@example((1, 1, 0), (1, 0), {0, 1}, 0, True)
 def test_level_points_match_box_scan(coeffs, line, levels, lo, equality):
     # the roots along most level lines are irrational, so the lower-bound
     # mode exercises the integer rounding at both ends of each interval
@@ -188,7 +193,9 @@ def test_level_points_match_box_scan(coeffs, line, levels, lo, equality):
     g = gcd(l1, l2)
     A = form.value(l2 // g, -l1 // g)
     hi = lo if equality else None
-    if A == 0 or (not equality and A > 0):
+    # the form is non-degenerate, so a null level line solves Q = lo
+    # throughout only through the origin, and only for lo = 0
+    if (not equality and A >= 0) or (A == 0 and lo == 0 and 0 in levels):
         with pytest.raises(ValueError):
             level_points(form, line, levels, lo, hi)
         return
@@ -245,3 +252,45 @@ def test_decomposition_solutions_match_box_scan(g, vt, at):
     for x, y in got:
         u = x * a + y * v
         assert square(cfg, u) >= -2 and 0 < pairing(cfg, u, v) <= vsq // 2
+
+
+V_SHAPES = st.one_of(
+    st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.integers(-6, 6)),
+    # the shapes whose level lines are null in v-perp
+    st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.just(0)),
+    st.tuples(st.just(0), st.integers(-3, 3), st.integers(-6, 6)),
+    st.tuples(st.just(0), st.sampled_from([-1, 1]), st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), V_SHAPES, st.sampled_from([-2, 0]), st.integers(0, 6), st.data())
+def test_solve_square_matches_box_scan(g, vt, d, window, data):
+    cfg = K3Config(g)
+    v = mv(*vt)
+    vsq = square(cfg, v)
+    assume(gcd(gcd(*vt[:2]), vt[2]) == 1 and vsq > 0)
+    m = data.draw(st.integers(1 if d == 0 else 0, vsq // 2), label="m")
+    got = solve_square_with_pairing(cfg, v, d, m, window)
+    free = 0 if v.r == 0 == v.s else 1
+    assert got == sorted(set(got), key=lambda a: a.as_tuple())
+    for a in got:
+        assert abs(a.as_tuple()[free]) <= window
+        assert square(cfg, a) == d and pairing(cfg, a, v) == m
+    # box scan: the free coordinate over the window, a second one over the
+    # box, and the third solved from (a, v) = m
+    row = (-v.s, cfg.h2 * v.c, -v.r)
+    k = max(i for i in range(3) if i != free and row[i])
+    other = 3 - free - k
+    brute = set()
+    for x in range(-window, window + 1):
+        for y in range(-BOX, BOX + 1):
+            rest = m - row[free] * x - row[other] * y
+            if rest % row[k] or abs(rest // row[k]) > BOX:
+                continue
+            coords = [0, 0, 0]
+            coords[free], coords[other], coords[k] = x, y, rest // row[k]
+            a = mv(*coords)
+            if square(cfg, a) == d:
+                brute.add(a)
+    assert {a for a in got if max(map(abs, a.as_tuple())) <= BOX} == brute

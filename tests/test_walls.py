@@ -11,7 +11,7 @@ from k3walls import (
 )
 from k3walls.intmath import cross3, primitive_vector
 from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.walls import _ray_coords, build_wall
+from k3walls.walls import MovableCone, _ray_coords, build_wall
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -229,3 +229,11 @@ def test_isotropic_walls_come_from_every_null_ray():
     res = enumerate_result(K3Config(5), mv(5, 3, 7), "positive", 32)
     lines = {w.line.as_tuple() for w in res.walls if w.degenerate}
     assert lines == {(2, 1, 2), (50, 35, 98)}
+
+
+def test_end_ray_sorts_after_every_interior_ray():
+    # position reads only the form, the anchor and the two boundary rays
+    cone = MovableCone(None, (0, 1, 0), (1, 1), (1, 0), (0, 1), "null", "null")
+    steep = (1, 10**31)
+    assert cone.contains_line(steep)
+    assert cone.position((1, 0)) < cone.position(steep) < cone.position((0, 1))
