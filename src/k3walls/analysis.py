@@ -13,12 +13,11 @@ from .classify import (
     bundle_descriptor,
     classify,
     effective_decompositions,
-    flop_cells_of,
-    spherical_members,
+    flop_cells,
 )
 from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
-from .stability import AlignmentFunctional, PathCrossing, path_crossings
+from .stability import PathCrossing, path_crossings
 from .walls import EnumerationResult, WallLattice, enumerate_result
 
 
@@ -63,16 +62,14 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
     basis = enum.cone.basis
     records = []
     for idx, wall in enumerate(enum.walls):
-        spherical = spherical_members(cfg, wall)
-        verdict = classify(cfg, wall, spherical)
+        verdict = classify(cfg, wall)
         divisor = wall_divisor(cfg, v, wall.a, basis)
         curve = curve_class(cfg, v, divisor)
         decs = ()
         bundle = None
-        if verdict.is_flopping and verdict.phase_point is not None:
-            func = AlignmentFunctional(cfg, wall.v, *verdict.phase_point)
-            decs = tuple(effective_decompositions(cfg, wall, func, spherical))
-            cells = flop_cells_of(cfg, decs)
+        if verdict.is_flopping:
+            decs = tuple(effective_decompositions(cfg, wall, verdict))
+            cells = flop_cells(cfg, decs)
             if cells:
                 bundle = bundle_descriptor(cfg, v, cells[0][0])
         records.append(WallRecord(idx, wall, verdict, divisor, curve, decs, bundle))

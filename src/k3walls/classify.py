@@ -8,20 +8,13 @@ arc (see _select_arc).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import K3Config, MukaiVector, pairing, square
-from .solvers import (
-    decomposition_solutions,
-    lattice_points_in_parallelogram,
-    level_points,
-    spherical_classes,
-)
-from .stability import AlignmentFunctional, alignment_candidates
+from .solvers import decomposition_solutions, level_points
+from .stability import AlignmentFunctional, alignment_candidates, spherical_members
 from .walls import WallLattice, divisorial_classes
-
-SPHERICAL_SEARCH_BOUND = 24
 
 DIVISORIAL_BN = "brill_noether"
 DIVISORIAL_HC = "hilbert_chow"
@@ -36,17 +29,30 @@ class Certificate:
 
 @dataclass(frozen=True)
 class WallVerdict:
+    """The verdict on one wall, with the wall data every consumer reads.
+
+    func is the phase functional at the point of the generic arc
+    (_select_arc), None on degenerate walls or when no arc is sampled;
+    spherical holds the wall's spherical classes (spherical_members).
+    """
+
     kind: str  # "divisorial" | "flopping" | "fake" | "lagrangian"
     subtype: str | None  # divisorial subtype or flop trigger
     totally_semistable: bool
     certificates: tuple[Certificate, ...]
-    phase_point: tuple[Fraction, Fraction] | None  # (b, t^2) used for phases
+    func: AlignmentFunctional | None
     proxy_flag: bool = False  # semistability verdict relied on the phase proxy
     arc_sensitive: bool = False  # other arcs of the wall disagree on (b')
+    spherical: tuple[MukaiVector, ...] = field(default=(), compare=False)
 
     @property
     def is_flopping(self) -> bool:
         return self.kind == "flopping"
+
+    @property
+    def phase_point(self) -> tuple[Fraction, Fraction] | None:
+        """The (b, t^2) of func, used for every phase decision."""
+        return (self.func.b, self.func.t2) if self.func is not None else None
 
 
 @dataclass(frozen=True)
@@ -83,12 +89,6 @@ def bundle_descriptor(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> BundleDe
     return BundleDescriptor(a, b, r, (da, db), total, r)
 
 
-def phase_functional(cfg: K3Config, wall: WallLattice) -> AlignmentFunctional | None:
-    """Wall point used for all phase decisions about this wall."""
-    func, _, _ = _select_arc(cfg, wall, spherical_members(cfg, wall))
-    return func
-
-
 def _spherical_trigger(
     cfg: K3Config, wall: WallLattice, func: AlignmentFunctional, spherical
 ) -> MukaiVector | None:
@@ -109,14 +109,11 @@ def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     verdict belongs to the generic arc, so trigger-free arcs win, then arcs
     making both the representative and its complement effective.
 
-    spherical holds the wall's spherical classes (spherical_members).
+    spherical holds the wall's spherical classes (spherical_members); the
+    wall is not degenerate.
     Returns (functional, trigger at that arc, arcs disagree on triggers).
     """
-    if wall.degenerate:
-        return None, None, False
-    cands = alignment_candidates(
-        cfg, wall.v, wall.a, SPHERICAL_SEARCH_BOUND, spherical
-    )
+    cands = alignment_candidates(cfg, wall.v, wall.a, spherical)
     best = None
     best_key = None
     triggers_seen = set()
@@ -132,32 +129,12 @@ def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     return best[0], best[1], len(triggers_seen) > 1
 
 
-def spherical_members(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
-    """The (-2)-classes p*v + q*a of the wall with |q| <= SPHERICAL_SEARCH_BOUND.
-
-    Solved once per wall and passed to every consumer; a degenerate
-    lattice holds no class of negative square.
-    """
-    if wall.degenerate:
-        return []
-    out = []
-    for p, q in spherical_classes(wall.gram, SPHERICAL_SEARCH_BOUND):
-        s = wall.member(p, q)
-        if square(cfg, s) != -2:
-            raise AssertionError("spherical search returned a non-spherical class")
-        out.append(s)
-    return out
-
-
-def classify(cfg: K3Config, wall: WallLattice, spherical=None) -> WallVerdict:
-    """The verdict on one wall; spherical defaults to spherical_members(wall)."""
-    v = wall.v
-    vsq = square(cfg, v)
+def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
+    """The verdict on one wall, carrying its phase functional and spherical classes."""
     if wall.degenerate:
         cert = Certificate(wall.a, "isotropic_fibration")
         return WallVerdict("lagrangian", None, False, (cert,), None)
 
-    gram = wall.gram
     certs: list[Certificate] = []
 
     bn, hc, lgu = divisorial_classes(wall)
@@ -168,10 +145,8 @@ def classify(cfg: K3Config, wall: WallLattice, spherical=None) -> WallVerdict:
     for pq in lgu:
         certs.append(Certificate(wall.member(*pq), "isotropic_pairing_two"))
 
-    if spherical is None:
-        spherical = spherical_members(cfg, wall)
+    spherical = tuple(spherical_members(cfg, wall.v, wall.a))
     func, trigger, arc_sensitive = _select_arc(cfg, wall, spherical)
-    point = (func.b, func.t2) if func is not None else None
 
     if hc:
         tss, proxy = True, False
@@ -182,34 +157,26 @@ def classify(cfg: K3Config, wall: WallLattice, spherical=None) -> WallVerdict:
     else:
         tss, proxy = False, False
 
+    kind, subtype = "fake", None
     if hc or lgu or bn:
+        kind = "divisorial"
         subtype = DIVISORIAL_HC if hc else (DIVISORIAL_LGU if lgu else DIVISORIAL_BN)
-        return WallVerdict(
-            "divisorial", subtype, tss, tuple(certs), point, proxy, arc_sensitive
-        )
+    elif flop_sphericals := _flop_sphericals(cfg, wall):
+        kind, subtype = "flopping", "spherical"
+        certs += [Certificate(s, "spherical_flop") for s in flop_sphericals]
+    elif positive_pairs := _positive_two_term(cfg, wall):
+        kind, subtype = "flopping", "positive_sum"
+        certs += [Certificate(c, "positive_part") for pair in positive_pairs for c in pair]
+    return WallVerdict(kind, subtype, tss, tuple(certs), func, proxy, arc_sensitive, spherical)
 
-    flop_sphericals = [
-        wall.member(*pq)
-        for pq in level_points(gram, (gram.q11, gram.q12), range(1, vsq // 2 + 1), -2, -2)
-    ]
-    if flop_sphericals:
-        flop_sphericals.sort(key=lambda s: (pairing(cfg, s, v), s.as_tuple()))
-        for s in flop_sphericals:
-            certs.append(Certificate(s, "spherical_flop"))
-        return WallVerdict(
-            "flopping", "spherical", tss, tuple(certs), point, proxy, arc_sensitive
-        )
 
-    positive_pairs = _positive_two_term(cfg, wall)
-    if positive_pairs:
-        for a, b in positive_pairs:
-            certs.append(Certificate(a, "positive_part"))
-            certs.append(Certificate(b, "positive_part"))
-        return WallVerdict(
-            "flopping", "positive_sum", tss, tuple(certs), point, proxy, arc_sensitive
-        )
-
-    return WallVerdict("fake", None, tss, tuple(certs), point, proxy, arc_sensitive)
+def _flop_sphericals(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
+    """The spherical classes s of the wall with 0 < (s, v) <= v^2/2, by pairing."""
+    gram = wall.gram
+    pts = level_points(gram, (gram.q11, gram.q12), range(1, gram.q11 // 2 + 1), -2, -2)
+    return sorted(
+        (wall.member(*pq) for pq in pts), key=lambda s: (pairing(cfg, s, wall.v), s.as_tuple())
+    )
 
 
 def _positive_two_term(cfg: K3Config, wall: WallLattice):
@@ -237,37 +204,30 @@ class Decomposition:
 
 
 def effective_decompositions(
-    cfg: K3Config,
-    wall: WallLattice,
-    func: AlignmentFunctional | None = None,
-    spherical=None,
+    cfg: K3Config, wall: WallLattice, verdict: WallVerdict
 ) -> list[Decomposition]:
     """Splittings v = sum of effective parts inside the wall lattice.
 
     A part is admissible when it is positive (square >= 0, positive pairing
     with v) or a spherical class of positive phase; every part must carry
-    phase in (0, 1).  Splittings refinable inside the lattice are flagged
-    via the vertex parallelogram test.  Splittings are cut off, without a
-    flag, at min(8, floor(1/phi_min) + 1) parts, phi_min the smallest atom
-    phase.
+    phase in (0, 1).  A two-part splitting is flagged refinable when its
+    parallelogram holds a lattice point besides the vertices.  Splittings
+    are cut off, without a flag, at min(8, floor(1/phi_min) + 1) parts,
+    phi_min the smallest atom phase.
 
-    Phases are taken at func, by default the wall point of phase_functional;
-    the search compares the integer numerators of func over its fixed
-    denominator.  spherical defaults to spherical_members(wall).  Each
-    multiset of parts is generated once: the parts come in atom order and
-    the closing complement is never an atom of lower index than the last.
+    verdict is classify(cfg, wall): phases are taken at verdict.func, and
+    the search compares its integer numerators over its fixed denominator;
+    the spherical atoms are verdict.spherical.  Each multiset of parts is
+    generated once: the parts come in atom order and the closing
+    complement is never an atom of lower index than the last.
     """
-    if wall.degenerate:
-        return []
-    if spherical is None:
-        spherical = spherical_members(cfg, wall)
+    func = verdict.func
     if func is None:
-        func = _select_arc(cfg, wall, spherical)[0]
-        if func is None:
-            return []
+        return []
     v = wall.v
+    gram = wall.gram
     den = func.den
-    atoms = _effective_atoms(cfg, wall, func, spherical)
+    atoms = _effective_atoms(cfg, wall, func, verdict.spherical)
     index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
     results: list[Decomposition] = []
 
@@ -282,13 +242,13 @@ def effective_decompositions(
         phases = tuple(Fraction(n, den) for _, n in split)
         refinable = False
         if len(parts) == 2:
-            coords = [_coords_in_wall(cfg, wall, p) for p in parts]
-            if None not in coords:
-                pts = lattice_points_in_parallelogram(
-                    wall.gram, coords[0], (coords[0][0] + coords[1][0],
-                                           coords[0][1] + coords[1][1])
-                )
-                refinable = bool(pts)
+            # parts[0] = p*v + q*a, q read off its pairings (exactly, as
+            # (v, a) is a basis of the wall); the two parts have determinant
+            # -q in that basis, and a lattice parallelogram holds a point
+            # besides its vertices exactly when |det| > 1
+            u = parts[0]
+            q = (gram.q11 * pairing(cfg, u, wall.a) - gram.q12 * pairing(cfg, u, v)) // gram.disc
+            refinable = abs(q) > 1
         results.append(Decomposition(parts, phases, refinable))
 
     max_parts = _max_parts(atoms, den)
@@ -311,15 +271,6 @@ def effective_decompositions(
     extend(0, MukaiVector(0, 0, 0), 0, [])
     results.sort(key=lambda d: (len(d.parts), tuple(p.as_tuple() for p in d.parts)))
     return results
-
-
-def _coords_in_wall(cfg: K3Config, wall: WallLattice, x: MukaiVector):
-    from .intmath import coords_in_basis
-
-    co = coords_in_basis(wall.v.as_tuple(), wall.a.as_tuple(), x.as_tuple())
-    if co is None or co[0].denominator != 1 or co[1].denominator != 1:
-        return None
-    return (int(co[0]), int(co[1]))
 
 
 def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional, spherical):
@@ -346,7 +297,7 @@ def _max_parts(atoms, den: int) -> int:
     return min(8, den // min(n for _, n in atoms) + 1)
 
 
-def _two_part_splits(cfg: K3Config, decs):
+def two_part_splits(cfg: K3Config, decs):
     """The two-part members of decs, as (a, b, dec) with a the smaller square."""
     out = []
     for dec in decs:
@@ -358,22 +309,12 @@ def _two_part_splits(cfg: K3Config, decs):
     return out
 
 
-def two_term_decompositions(cfg: K3Config, wall: WallLattice):
-    """The two-part effective splittings, as (a, b) with a the smaller square."""
-    return _two_part_splits(cfg, effective_decompositions(cfg, wall))
-
-
-def flop_cells_of(cfg: K3Config, decs):
-    """Two-part members of decs carrying a bundle cell (fiber dim >= 1)."""
-    return [(a, b, dec) for a, b, dec in _two_part_splits(cfg, decs)
-            if pairing(cfg, b, a) - 1 >= 1]
-
-
-def flop_cells(cfg: K3Config, wall: WallLattice):
-    """Two-part splittings carrying an actual bundle cell (fiber dim >= 1).
+def flop_cells(cfg: K3Config, decs):
+    """Two-part members of decs carrying an actual bundle cell (fiber dim >= 1).
 
     Splittings with (v-a, a) <= 1 admit no one-parameter extension family
     and contribute no exceptional cell, so they are listed by
     effective_decompositions but excluded here.
     """
-    return flop_cells_of(cfg, effective_decompositions(cfg, wall))
+    return [(a, b, dec) for a, b, dec in two_part_splits(cfg, decs)
+            if pairing(cfg, b, a) - 1 >= 1]

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: walls, path, transform, classify, pairing.  Exit codes:
-0 success, 1 usage error, 2 enumeration-stability warning under --strict.
+0 success, 1 usage error or an input whose movable sector cannot be
+bounded exactly (SectorError), 2 enumeration-stability warning under --strict.
 Flag values override the optional config file, which overrides defaults.
 """
 from __future__ import annotations

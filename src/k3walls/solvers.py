@@ -17,7 +17,7 @@ from math import isqrt
 
 from .intmath import xgcd
 from .lattice import K3Config, MukaiVector, pairing, square
-from .nsgeom import lambda_basis
+from .nsgeom import NSBasis
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,15 @@ def solve_square_with_pairing(
     d: int,
     m: int,
     window: int,
+    basis: NSBasis,
 ) -> list[MukaiVector]:
     """All a with (a,a) = d and (a,v) = m whose free coordinate is within window.
 
     The free coordinate is c, or r when v = (0, c, 0); v is primitive with
-    v^2 > 0.  The wall divisors D = v^2*a - m*v solve D^2 = v^2*(v^2*d - m^2)
-    in v-perp on the levels v^2*t - m*(free coordinate of v), |t| <= window,
-    and a = (D + m*v)/v^2 is kept when integral.  (d, m) = (0, 0), the null
+    v^2 > 0, and basis is lambda_basis(cfg, v).  The wall divisors
+    D = v^2*a - m*v solve D^2 = v^2*(v^2*d - m^2) in v-perp on the levels
+    v^2*t - m*(free coordinate of v), |t| <= window, and a = (D + m*v)/v^2
+    is kept when integral.  (d, m) = (0, 0), the null
     lines of v-perp, raises ValueError.
     """
     if d % 2 != 0 or d < -2:
@@ -67,7 +69,6 @@ def solve_square_with_pairing(
         raise ValueError(f"pairing {m} outside [0, {vsq}/2]")
     if d == 0 == m:
         raise ValueError("(a,a) = 0 = (a,v) is a union of null lines, not a finite family")
-    basis = lambda_basis(cfg, v)
     i = 0 if v.r == 0 == v.s else 1
     e1, e2, vt = basis.e1.as_tuple(), basis.e2.as_tuple(), v.as_tuple()
     offset = -m * vt[i]
@@ -166,11 +167,13 @@ def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
 
 
 def lattice_points_in_parallelogram(
-    form: GramForm2, a: tuple[int, int], v: tuple[int, int]
+    a: tuple[int, int], v: tuple[int, int]
 ) -> list[tuple[int, int]]:
     """Integer points of the closed parallelogram (0, a, v-a, v), vertices excluded.
 
-    Exact barycentric test: x = s*a + t*(v-a) with s, t in [0, 1].
+    Exact barycentric test: x = s*a + t*(v-a) with s, t in [0, 1].  The
+    engine decides refinability from the determinant instead; this scan is
+    the reference the tests compare it with.
     """
     e1 = a
     e2 = (v[0] - a[0], v[1] - a[1])

@@ -14,6 +14,8 @@ from .intmath import frac_floor_sqrt
 from .lattice import K3Config, MukaiVector, square
 from .solvers import gram_of, spherical_classes
 
+SPHERICAL_SEARCH_BOUND = 24
+
 
 @dataclass(frozen=True)
 class GeomCharge:
@@ -106,17 +108,27 @@ def hole_point(cfg: K3Config, s: MukaiVector):
     return b, t2
 
 
-def holes(
-    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24, spherical=None
-):
-    """Charge-vanishing points of spherical classes in <v, a>.
+def spherical_members(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> list[MukaiVector]:
+    """The (-2)-classes p*v + q*a of <v, a> with |q| <= SPHERICAL_SEARCH_BOUND.
 
-    spherical lists those classes when the caller has solved them already;
-    otherwise the ones with |q| <= bound in p*v + q*a are solved here.
-    Returns (b, t2, class) triples, one per +-pair, sorted by b.
+    Solved once per wall and passed to every consumer; v^2 > 0, and a
+    degenerate lattice holds no class of negative square.
     """
-    if spherical is None:
-        spherical = [p * v + q * a for p, q in spherical_classes(gram_of(cfg, v, a), bound)]
+    out = []
+    for p, q in spherical_classes(gram_of(cfg, v, a), SPHERICAL_SEARCH_BOUND):
+        s = p * v + q * a
+        if square(cfg, s) != -2:
+            raise AssertionError("spherical search returned a non-spherical class")
+        out.append(s)
+    return out
+
+
+def holes(cfg: K3Config, spherical) -> list[tuple[Fraction, Fraction, MukaiVector]]:
+    """Charge-vanishing points of the spherical classes of a wall.
+
+    spherical lists those classes (spherical_members).  Returns
+    (b, t2, class) triples, one per +-pair, sorted by b.
+    """
     out = []
     seen = set()
     for s in spherical:
@@ -194,19 +206,19 @@ def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fractio
 
 
 def alignment_candidates(
-    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24, spherical=None
+    cfg: K3Config, v: MukaiVector, a: MukaiVector, spherical
 ) -> list[AlignmentFunctional]:
     """One rational sample point per arc of the wall of <v, a>.
 
     The holes of spherical classes of <v, a> all lie on the wall and split
     it into arcs on which the sign data differs; one hole-free point is
     produced for every arc the search window can see, plus the apex.
-    spherical is passed on to holes.
+    spherical lists the spherical classes of <v, a> (spherical_members).
     """
     wall = numerical_wall(cfg, v, a)
     if wall.shape == "empty":
         return []
-    hole_list = holes(cfg, v, a, bound, spherical)
+    hole_list = holes(cfg, spherical)
     if wall.shape == "semicircle":
         c, r2 = wall.center_b, wall.radius_sq
         # every hole lies strictly inside the circle; push the rational
@@ -239,20 +251,6 @@ def alignment_candidates(
     return out
 
 
-def alignment_point(
-    cfg: K3Config, v: MukaiVector, a: MukaiVector, bound: int = 24
-) -> AlignmentFunctional | None:
-    """A wall point making a effective, preferring its complement effective too."""
-    best = None
-    best_rank = -1
-    for func in alignment_candidates(cfg, v, a, bound):
-        ph = func.phi(a)
-        rank = 2 if 0 < ph < 1 else (1 if ph > 0 else 0)
-        if rank > best_rank:
-            best, best_rank = func, rank
-    return best
-
-
 @dataclass(frozen=True)
 class PathCrossing:
     t2: Fraction
@@ -268,7 +266,6 @@ def path_crossings(
     b0,
     t_min=0,
     t_max=None,
-    hole_bound: int = 24,
 ) -> list[PathCrossing]:
     """Crossings of the vertical path b = b0 with each wall <v, a_i>.
 
@@ -291,7 +288,7 @@ def path_crossings(
             continue
         assert wall.cross_value(b0, t2) == 0
         collision = None
-        for hb, ht2, s in holes(cfg, v, a, hole_bound):
+        for hb, ht2, s in holes(cfg, spherical_members(cfg, v, a)):
             if hb == b0 and ht2 == t2:
                 collision = s
                 break

@@ -390,7 +390,7 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
     found: dict[tuple[int, int, int], WallLattice] = {}
     for d in (-2, 0):
         for m in range(1 if d == 0 else 0, vsq // 2 + 1):
-            for a in solve_square_with_pairing(cfg, v, d, m, window):
+            for a in solve_square_with_pairing(cfg, v, d, m, window, basis):
                 wall = build_wall(cfg, v, a)
                 found.setdefault(wall.line.as_tuple(), wall)
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays

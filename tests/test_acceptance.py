@@ -12,6 +12,7 @@ from k3walls import (
     bundle_descriptor,
     classify,
     dual_isometry,
+    effective_decompositions,
     enumerate_walls,
     lattice_points_in_parallelogram,
     line_bundle_vector,
@@ -26,12 +27,18 @@ from k3walls import (
     twist_T,
 )
 from k3walls.analysis import chamber_chain
-from k3walls.classify import two_term_decompositions
+from k3walls.classify import two_part_splits
+from k3walls.intmath import coords_in_basis
 from k3walls.report import render_json, walls_document
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
 VM = mv(0, 2, -1)
+
+
+def splits(wall):
+    """The two-part effective splittings, as (a, b, dec) with a the smaller square."""
+    return two_part_splits(CFG, effective_decompositions(CFG, wall, classify(CFG, wall)))
 
 
 def criterion(number, label):
@@ -134,7 +141,7 @@ def test_criterion_5_bundles():
     for v in (VP, VM):
         walls = enumerate_walls(CFG, v)
         for wall, (fiber, bases, total, codim) in zip(walls[1:5], expected):
-            a, b, _ = two_term_decompositions(CFG, wall)[0]
+            a, b, _ = splits(wall)[0]
             desc = bundle_descriptor(CFG, v, a)
             assert desc.fiber_dim == fiber
             assert set(desc.base_dims) == bases
@@ -163,10 +170,10 @@ def test_criterion_6_paths():
 def test_criterion_7_no_refinement():
     for v in (VP, VM):
         for wall in enumerate_walls(CFG, v)[1:5]:
-            # vertex coordinates of (0, a, v-a, v) in the lattice basis (v, a)
-            pts = lattice_points_in_parallelogram(wall.gram, (0, 1), (1, 0))
-            assert pts == []
-            for a, b, dec in two_term_decompositions(CFG, wall):
+            for a, b, dec in splits(wall):
+                # vertex coordinates of (0, a, v-a, v) in the lattice basis (v, wall.a)
+                p, q = coords_in_basis(v.as_tuple(), wall.a.as_tuple(), a.as_tuple())
+                assert lattice_points_in_parallelogram((int(p), int(q)), (1, 0)) == []
                 assert not dec.refinable
 
 

@@ -2,6 +2,7 @@ import importlib
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import (
     K3Config,
@@ -14,12 +15,9 @@ from k3walls import (
     square,
     survey,
 )
-from k3walls.classify import (
-    DIVISORIAL_HC,
-    flop_cells,
-    phase_functional,
-    two_term_decompositions,
-)
+from k3walls.classify import DIVISORIAL_HC, flop_cells, two_part_splits
+from k3walls.intmath import coords_in_basis
+from k3walls.solvers import lattice_points_in_parallelogram
 from k3walls.walls import build_wall
 
 CFG = K3Config(2)
@@ -29,6 +27,15 @@ VM = mv(0, 2, -1)
 
 def walls_for(v):
     return enumerate_walls(CFG, v)
+
+
+def decompositions(wall):
+    return effective_decompositions(CFG, wall, classify(CFG, wall))
+
+
+def splits(wall):
+    """The two-part effective splittings, as (a, b, dec) with a the smaller square."""
+    return two_part_splits(CFG, decompositions(wall))
 
 
 def test_hilbert_chow_wall():
@@ -119,7 +126,7 @@ def test_effective_decompositions_unique_and_exact():
     for v in (VP, VM):
         walls = walls_for(v)
         for idx in (1, 2, 3, 4):
-            decs = effective_decompositions(CFG, walls[idx])
+            decs = decompositions(walls[idx])
             assert len(decs) == 1, (v, idx, decs)
             parts = {p.as_tuple() for p in decs[0].parts}
             assert parts == EXPECTED_SPLITS[(v.as_tuple(), idx)]
@@ -132,10 +139,34 @@ def test_effective_decompositions_unique_and_exact():
 def test_phase_sum_on_two_term_splits():
     for v in (VP, VM):
         for wall in walls_for(v)[1:-1]:
-            func = phase_functional(CFG, wall)
-            for a, b, dec in two_term_decompositions(CFG, wall):
+            func = classify(CFG, wall).func
+            for a, b, dec in splits(wall):
                 assert a + b == v
                 assert func.phi(a) + func.phi(b) == 1
+
+
+small = st.integers(-4, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), small, st.integers(0, 2), small, st.tuples(small, small, small))
+def test_refinable_matches_parallelogram_scan(g, r, c, s, at):
+    # the determinant rule for two-part splittings against the point scan of
+    # the parallelogram (0, a, v - a, v) in the basis (v, wall.a); r*s <= 0
+    # keeps v^2 = h2*c^2 - 2*r*s nonnegative
+    cfg = K3Config(g)
+    v = mv(r, c, -abs(s) if r >= 0 else abs(s))
+    assume(square(cfg, v) > 0)
+    try:
+        wall = build_wall(cfg, v, mv(*at))
+    except ValueError:  # proportional classes or a definite lattice
+        assume(False)
+    for dec in effective_decompositions(cfg, wall, classify(cfg, wall)):
+        if len(dec.parts) == 2:
+            p, q = coords_in_basis(v.as_tuple(), wall.a.as_tuple(), dec.parts[0].as_tuple())
+            assert p.denominator == q.denominator == 1
+            scan = lattice_points_in_parallelogram((int(p), int(q)), (1, 0))
+            assert dec.refinable == bool(scan)
 
 
 BUNDLES = [
@@ -153,7 +184,7 @@ BUNDLES = [
 def test_bundle_descriptors():
     for v, idx, fiber, bases, total in BUNDLES:
         wall = walls_for(v)[idx]
-        a, b, _ = two_term_decompositions(CFG, wall)[0]
+        a, b, _ = splits(wall)[0]
         desc = bundle_descriptor(CFG, v, a)
         assert desc.fiber_dim == fiber
         assert desc.base_dims == bases
@@ -164,7 +195,7 @@ def test_bundle_descriptors():
 
 def test_bundle_fiber_multiset():
     dims = sorted(
-        bundle_descriptor(CFG, VP, two_term_decompositions(CFG, w)[0][0]).fiber_dim
+        bundle_descriptor(CFG, VP, splits(w)[0][0]).fiber_dim
         for w in walls_for(VP)[1:-1]
     )
     assert dims == [2, 2, 3, 4]
@@ -178,7 +209,7 @@ def test_bundle_descriptor_rejects_flat_fiber():
 def test_mukai_flop_descriptor_for_small_hilbert():
     v = mv(1, 0, -1)
     wall = walls_for(v)[1]
-    a, b, _ = two_term_decompositions(CFG, wall)[0]
+    a, b, _ = splits(wall)[0]
     desc = bundle_descriptor(CFG, v, a)
     # the plane flop: a plane of dimension two inside a fourfold
     assert desc.fiber_dim == 2
@@ -204,7 +235,7 @@ def test_flop_cell_found_despite_thin_generic_arc():
     wall = enumerate_walls(CFG, v)[1]
     verdict = classify(CFG, wall)
     assert verdict.kind == "flopping" and not verdict.totally_semistable
-    cells = flop_cells(CFG, wall)
+    cells = flop_cells(CFG, effective_decompositions(CFG, wall, verdict))
     assert len(cells) == 1
     a, b, _ = cells[0]
     assert {a.as_tuple(), b.as_tuple()} == {(-5, -3, -2), (2, 1, 1)}
@@ -220,11 +251,12 @@ def test_classify_unsaturated_seed_is_hilbert_chow():
 
 
 def test_survey_analyses_each_wall_once(monkeypatch):
-    # survey reuses classify's arc for the split search, runs that search
-    # once per flopping wall, reads the bundle off its result and solves
-    # each wall's spherical classes once; the modules are imported by name
-    # because the package re-exports the classify function under the
-    # classify module's name
+    # survey, and the standalone path of classify followed by
+    # effective_decompositions on its verdict, each select every wall's arc
+    # once, solve its spherical classes once and run the split search once
+    # per flopping wall; the modules are imported by name because the
+    # package re-exports the classify function under the classify module's
+    # name
     classify_mod = importlib.import_module("k3walls.classify")
     analysis_mod = importlib.import_module("k3walls.analysis")
     stability_mod = importlib.import_module("k3walls.stability")
@@ -234,7 +266,7 @@ def test_survey_analyses_each_wall_once(monkeypatch):
     sphericals = Counter()
     select_arc = classify_mod._select_arc
     search = classify_mod.effective_decompositions
-    solve_spherical = classify_mod.spherical_classes
+    solve_spherical = stability_mod.spherical_classes
 
     def counted_select_arc(cfg, wall, *args):
         arcs[wall.a.as_tuple()] += 1
@@ -248,24 +280,39 @@ def test_survey_analyses_each_wall_once(monkeypatch):
         searches[wall.a.as_tuple()] += 1
         return search(cfg, wall, *args)
 
+    def take_counts():
+        counts = (arcs.copy(), searches.copy(), sphericals.copy())
+        for counter in (arcs, searches, sphericals):
+            counter.clear()
+        return counts
+
     monkeypatch.setattr(classify_mod, "_select_arc", counted_select_arc)
+    monkeypatch.setattr(stability_mod, "spherical_classes", counted_spherical)
     for mod in (classify_mod, analysis_mod):
         monkeypatch.setattr(mod, "effective_decompositions", counted_search)
-    for mod in (classify_mod, stability_mod):
-        monkeypatch.setattr(mod, "spherical_classes", counted_spherical)
     sv = survey(CFG, v)
+    survey_counts = take_counts()
+    standalone = []
+    for rec in sv.records:
+        verdict = classify(CFG, rec.wall)
+        decs = classify_mod.effective_decompositions(CFG, rec.wall, verdict) if verdict.is_flopping else []
+        standalone.append((verdict, decs))
+    standalone_counts = take_counts()
     monkeypatch.undo()
 
     flopping = {r.a.as_tuple() for r in sv.records if r.verdict.is_flopping}
     assert flopping
-    assert searches == Counter(dict.fromkeys(flopping, 1))
-    assert sphericals == Counter(r.wall.gram for r in sv.records if not r.wall.degenerate)
-    for rec in sv.records:
-        assert arcs[rec.a.as_tuple()] <= (0 if rec.wall.degenerate else 1)
+    generic = [r.wall for r in sv.records if not r.wall.degenerate]
+    for walk_arcs, walk_searches, walk_sphericals in (survey_counts, standalone_counts):
+        assert walk_searches == Counter(dict.fromkeys(flopping, 1))
+        assert walk_sphericals == Counter(w.gram for w in generic)
+        assert walk_arcs == Counter(w.a.as_tuple() for w in generic)
+    for rec, (verdict, decs) in zip(sv.records, standalone):
+        assert verdict == rec.verdict
         if not rec.verdict.is_flopping:
             assert rec.decompositions == () and rec.bundle is None
             continue
-        assert list(rec.decompositions) == effective_decompositions(CFG, rec.wall)
-        cells = flop_cells(CFG, rec.wall)
+        assert list(rec.decompositions) == decs
+        cells = flop_cells(CFG, decs)
         expected = bundle_descriptor(CFG, v, cells[0][0]) if cells else None
         assert rec.bundle == expected

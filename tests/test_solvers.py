@@ -8,6 +8,7 @@ from k3walls import (
     K3Config,
     classes_in_rank2,
     decomposition_solutions,
+    lambda_basis,
     lattice_points_in_parallelogram,
     mv,
     pairing,
@@ -29,14 +30,14 @@ HC = GramForm2(8, 1, 0)
 
 
 def test_solve_square_examples():
-    sols = solve_square_with_pairing(CFG, VP, -2, 2, 8)
+    sols = solve_square_with_pairing(CFG, VP, -2, 2, 8, lambda_basis(CFG, VP))
     assert mv(1, -1, 2) in sols
     with pytest.raises(ValueError):
-        solve_square_with_pairing(CFG, VP, 0, 0, 8)  # the null rays of v-perp
+        solve_square_with_pairing(CFG, VP, 0, 0, 8, lambda_basis(CFG, VP))  # the null rays of v-perp
     with pytest.raises(ValueError):
-        solve_square_with_pairing(CFG, VP, -2, 7, 8)
+        solve_square_with_pairing(CFG, VP, -2, 7, 8, lambda_basis(CFG, VP))
     with pytest.raises(ValueError):
-        solve_square_with_pairing(CFG, VP, -3, 1, 8)
+        solve_square_with_pairing(CFG, VP, -3, 1, 8, lambda_basis(CFG, VP))
 
 
 def test_solve_square_verifies_equations():
@@ -44,16 +45,17 @@ def test_solve_square_verifies_equations():
         vsq = square(CFG, v)
         for d in (-2, 0):
             for m in range(1 if d == 0 else 0, vsq // 2 + 1):
-                for a in solve_square_with_pairing(CFG, v, d, m, 20):
+                for a in solve_square_with_pairing(CFG, v, d, m, 20, lambda_basis(CFG, v)):
                     assert square(CFG, a) == d
                     assert pairing(CFG, a, v) == m
 
 
 def test_solve_square_torsion_vector_families():
     # rank-zero v: the level lines of c are null in v-perp
-    assert mv(1, 0, 0) in solve_square_with_pairing(CFG, VM, 0, 1, 6)
+    assert mv(1, 0, 0) in solve_square_with_pairing(CFG, VM, 0, 1, 6, lambda_basis(CFG, VM))
     # v = (0, 1, 0): the free coordinate is r
-    assert solve_square_with_pairing(CFG, mv(0, 1, 0), -2, 0, 3) == [mv(-1, 0, -1), mv(1, 0, 1)]
+    v = mv(0, 1, 0)
+    assert solve_square_with_pairing(CFG, v, -2, 0, 3, lambda_basis(CFG, v)) == [mv(-1, 0, -1), mv(1, 0, 1)]
 
 
 def _brute_classes(form, d, k, bound=50):
@@ -97,11 +99,9 @@ def test_spherical_classes_brute():
 
 def test_parallelogram_examples():
     # normalized wall basis: only the four vertices
-    assert lattice_points_in_parallelogram(H1, (0, 1), (1, 0)) == []
-    unit = GramForm2(2, 0, 2)
-    assert lattice_points_in_parallelogram(unit, (1, 0), (1, 1)) == []
-    double = GramForm2(2, 0, 2)
-    pts = lattice_points_in_parallelogram(double, (2, 0), (2, 2))
+    assert lattice_points_in_parallelogram((0, 1), (1, 0)) == []
+    assert lattice_points_in_parallelogram((1, 0), (1, 1)) == []
+    pts = lattice_points_in_parallelogram((2, 0), (2, 2))
     assert (1, 1) in pts
     assert len(pts) == 5
 
@@ -114,8 +114,7 @@ def test_parallelogram_examples():
 def test_parallelogram_matches_bounding_box_scan(a, v):
     if a[0] * v[1] - a[1] * v[0] == 0:
         return
-    form = GramForm2(2, 0, 2)  # irrelevant to the point set
-    got = set(lattice_points_in_parallelogram(form, a, v))
+    got = set(lattice_points_in_parallelogram(a, v))
     verts = [(0, 0), a, (v[0] - a[0], v[1] - a[1]), v]
     xs = [p[0] for p in verts]
     ys = [p[1] for p in verts]
@@ -271,7 +270,7 @@ def test_solve_square_matches_box_scan(g, vt, d, window, data):
     vsq = square(cfg, v)
     assume(gcd(gcd(*vt[:2]), vt[2]) == 1 and vsq > 0)
     m = data.draw(st.integers(1 if d == 0 else 0, vsq // 2), label="m")
-    got = solve_square_with_pairing(cfg, v, d, m, window)
+    got = solve_square_with_pairing(cfg, v, d, m, window, lambda_basis(cfg, v))
     free = 0 if v.r == 0 == v.s else 1
     assert got == sorted(set(got), key=lambda a: a.as_tuple())
     for a in got:

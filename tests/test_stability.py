@@ -6,6 +6,7 @@ import pytest
 from k3walls import (
     K3Config,
     central_charge,
+    classify,
     holes,
     mv,
     numerical_wall,
@@ -13,7 +14,8 @@ from k3walls import (
     square,
 )
 from k3walls.solvers import gram_of
-from k3walls.stability import alignment_point, hole_point
+from k3walls.stability import hole_point, spherical_members
+from k3walls.walls import build_wall
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -78,12 +80,16 @@ def test_radius_squared_equals_reduced_discriminant():
         assert wall.radius_sq == Fraction(g.disc_prime, int(4 * wall.alpha**2))
 
 
+def holes_of(v, a):
+    return holes(CFG, spherical_members(CFG, v, a))
+
+
 def test_holes():
-    got = holes(CFG, VP, mv(-1, 2, -5))
+    got = holes_of(VP, mv(-1, 2, -5))
     assert (Fraction(-2), Fraction(1)) in [(b, t2) for b, t2, _ in got]
     assert any(s == mv(1, -2, 5) for _, _, s in got)
-    assert holes(CFG, VP, mv(1, -1, 1)) == []  # no spherical classes at all
-    h1 = [(b, t2) for b, t2, s in holes(CFG, VP, mv(1, -1, 2)) if s == mv(1, -1, 2)]
+    assert holes_of(VP, mv(1, -1, 1)) == []  # no spherical classes at all
+    h1 = [(b, t2) for b, t2, s in holes_of(VP, mv(1, -1, 2)) if s == mv(1, -1, 2)]
     assert h1 == [(Fraction(-1), Fraction(1))]
 
 
@@ -135,7 +141,7 @@ def test_alignment_functional_properties():
         (VM, mv(1, 0, 1)),
         (VM, mv(-1, 1, -2)),
     ]:
-        func = alignment_point(CFG, v, a)
+        func = classify(CFG, build_wall(CFG, v, a)).func
         assert func is not None
         assert func.phi(v) == 1
         assert func.phi(a) > 0
@@ -146,8 +152,8 @@ def test_alignment_functional_properties():
 
 
 def test_alignment_point_none_for_degenerate():
-    assert alignment_point(CFG, VP, mv(1, -2, 4)) is None
-    assert alignment_point(CFG, VM, mv(0, 0, 1)) is None
+    assert classify(CFG, build_wall(CFG, VP, mv(1, -2, 4))).func is None
+    assert classify(CFG, build_wall(CFG, VM, mv(0, 0, 1))).func is None
 
 
 from hypothesis import given, strategies as st
