@@ -18,7 +18,7 @@ from .classify import (
 from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
 from .stability import PathCrossing, path_crossings
-from .walls import EnumerationResult, WallLattice, enumerate_result
+from .walls import WallLattice, enumerate_result
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class PathReport:
     crossings: tuple[PathCrossing, ...]
     wall_indices: tuple[int, ...]  # wall index per crossing, as in survey
     degenerate_hits: tuple[int, ...]  # crossings that sit on a hole
+    window: int
+    stable: bool
 
 
 def path_report(
@@ -121,16 +123,17 @@ def path_report(
     t_min=0,
     t_max=None,
     window: int | None = None,
-    enum: EnumerationResult | None = None,
 ) -> PathReport:
-    enum = enum or enumerate_result(cfg, v, "mov", window)
+    enum = enumerate_result(cfg, v, "mov", window)
     classes = [wall.a for wall in enum.walls]
     crossings = path_crossings(cfg, v, classes, b0, t_min, t_max)
     indices = tuple(cr.wall_index for cr in crossings)
     degenerate = tuple(
         i for i, cr in enumerate(crossings) if cr.hole_collision is not None
     )
-    return PathReport(cfg, v, Fraction(b0), tuple(crossings), indices, degenerate)
+    return PathReport(
+        cfg, v, Fraction(b0), tuple(crossings), indices, degenerate, enum.window, enum.stable
+    )
 
 
 def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, window, same) -> bool:

@@ -35,6 +35,11 @@ from .report import (
 from .walls import build_wall
 
 
+FORMATS = ("table", "json", "csv")
+# every setting that run() reads from a config file
+CONFIG_KEYS = ("genus", "v", "window", "format", "b", "t_min", "t_max", "a", "x", "y")
+
+
 class UsageError(Exception):
     pass
 
@@ -55,16 +60,22 @@ def parse_vector(text: str) -> MukaiVector:
 
 
 def read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"unknown config key {key!r}")
+        values[key] = val
     return values
 
 
@@ -76,7 +87,7 @@ def build_parser() -> _Parser:
         p.add_argument("--genus", type=int, default=None)
         p.add_argument("--v", dest="v", default=None, metavar="r,c,s")
         p.add_argument("--window", type=int, default=None)
-        p.add_argument("--format", choices=("table", "json", "csv"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument("--strict", action="store_true")
         p.add_argument("--config", default=None)
 
@@ -117,23 +128,30 @@ def _setting(args, file_cfg: dict, key: str, default=None):
     return default
 
 
+def _int_setting(args, file_cfg: dict, key: str, default=None) -> int | None:
+    val = _setting(args, file_cfg, key, default)
+    try:
+        return None if val is None else int(val)
+    except ValueError:
+        raise UsageError(f"{key} must be an integer, got {val!r}") from None
+
+
 def _require_vector(args, file_cfg, key="v") -> MukaiVector:
     raw = _setting(args, file_cfg, key)
     if raw is None:
         raise UsageError(f"--{key} is required")
-    vec = raw if isinstance(raw, MukaiVector) else parse_vector(str(raw))
-    return vec
+    return parse_vector(str(raw))
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     file_cfg = read_config_file(args.config) if args.config else {}
-    genus = int(_setting(args, file_cfg, "genus", 2))
-    cfg = K3Config(genus)
+    cfg = K3Config(_int_setting(args, file_cfg, "genus", 2))
     fmt = _setting(args, file_cfg, "format", "table")
-    window = _setting(args, file_cfg, "window")
-    window = int(window) if window is not None else None
+    if fmt not in FORMATS:
+        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    window = _int_setting(args, file_cfg, "window")
     out = sys.stdout
 
     if args.command == "walls":
@@ -185,8 +203,7 @@ def run(argv=None) -> int:
             raise UsageError("no operation requested")
         raw_v = _setting(args, file_cfg, "v")
         if raw_v is not None:
-            vec = parse_vector(str(raw_v)) if not isinstance(raw_v, MukaiVector) else raw_v
-            image = iso.apply(vec)
+            image = iso.apply(parse_vector(str(raw_v)))
             out.write("{},{},{}\n".format(*image.as_tuple()))
         if args.matrix:
             for row in iso.matrix:
@@ -227,10 +244,7 @@ def _render(doc, fmt, table_fn, csv_fn) -> str:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ from .analysis import WallSurvey, path_report, survey
 from .intmath import frac_str, sqrt_str
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import curve_str, divisor_str
-from .walls import enumerate_result
 
 SCHEMA_VERSION = 1
 
@@ -110,8 +109,7 @@ def path_document(
     t_max=None,
     window: int | None = None,
 ) -> dict:
-    enum = enumerate_result(cfg, v, "mov", window)
-    rep = path_report(cfg, v, b0, t_min, t_max, enum=enum)
+    rep = path_report(cfg, v, b0, t_min, t_max, window)
     crossings = []
     for cr, idx in zip(rep.crossings, rep.wall_indices):
         crossings.append(
@@ -135,8 +133,8 @@ def path_document(
         "b": frac_str(Fraction(b0)),
         "t_min": frac_str(Fraction(t_min)),
         "t_max": frac_str(Fraction(t_max)) if t_max is not None else None,
-        "window": enum.window,
-        "window_stable": enum.stable,
+        "window": rep.window,
+        "window_stable": rep.stable,
         "crossings": crossings,
         "chambers_crossed": len(effective) + 1,
         "segments": segments,

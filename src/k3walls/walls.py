@@ -1,20 +1,22 @@
 """Enumeration of the rank-two wall lattices meeting the movable cone.
 
 Candidate lattices come from the families (a,a) in {-2, 0} with
-0 <= (a,v) <= v^2/2, saturated and deduplicated by their orthogonal line.
+0 <= (a,v) <= v^2/2, deduplicated by their orthogonal line and then
+saturated, one wall per line.
 The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
 one degenerate wall per ray; the others are solved in v-perp with one
 coordinate bounded by a window.
 The movable sector is bootstrapped: an ample-side anchor ray is computed
-from a large-volume charge, the nearest divisorial wall on each side of it
-bounds the sector, and a positive-cone null ray closes any side without a
-divisorial wall.
+from a large-volume charge, and rays are placed by one exact slope around
+it.  The nearest divisorial wall on each side of the anchor bounds the
+sector, and a positive-cone null ray closes any side without a divisorial
+wall.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .intmath import (
     coords_in_basis,
@@ -28,7 +30,7 @@ from .intmath import (
     xgcd,
 )
 from .lattice import K3Config, MukaiVector, pairing, square
-from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator, pairing_row
+from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
 from .solvers import GramForm2, classes_in_rank2, solve_square_with_pairing
 from .stability import _charge_parts, numerical_wall
 
@@ -49,9 +51,9 @@ class WallLattice:
     u: MukaiVector  # basis completion: (v, u) is a basis of the lattice
     gram: GramForm2  # Gram matrix in the basis (v, a)
     line: MukaiVector  # primitive generator of the orthogonal line
-    ray: tuple[int, int]  # wall-line coords in the NS basis, inside Pos
     degenerate: bool
     square_normalized: bool  # a^2 landed in {-2, 0}
+    ray: tuple[int, int] | None = None  # NS coords of the line, set by enumerate_result
 
     def member(self, p: int, q: int) -> MukaiVector:
         return p * self.v + q * self.a
@@ -124,15 +126,8 @@ def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
 
 
 def normalize_representative(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> MukaiVector:
-    """Normalized generator of the saturated lattice spanned by v and a."""
-    b1, b2 = saturated_basis(v, a)
-    g11 = square(cfg, b1)
-    g12 = pairing(cfg, b1, b2)
-    g22 = square(cfg, b2)
-    if g11 * g22 - g12 * g12 == 0:
-        return _radical_generator(cfg, b1, b2)
-    u = complete_basis(v, b1, b2)
-    return _normalize_in_basis(cfg, v, u)[0]
+    """Normalized generator of the saturated wall lattice spanned by v and a."""
+    return build_wall(cfg, v, a).a
 
 
 def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattice:
@@ -151,7 +146,7 @@ def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattic
         degenerate = False
     gram = GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
     line = orthogonal_line_generator(cfg, v, a)
-    return WallLattice(v, a, u, gram, line, (0, 0), degenerate, norm_ok)
+    return WallLattice(v, a, u, gram, line, degenerate, norm_ok)
 
 
 def divisorial_classes(wall: WallLattice):
@@ -188,7 +183,7 @@ class MovableCone:
     start_kind: str
     end_kind: str
 
-    def q(self, x, y) -> tuple:
+    def q(self, x, y) -> int:
         g11, g12, g22 = self.gram
         return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
 
@@ -199,34 +194,24 @@ class MovableCone:
             raise SectorError(f"ray {ray} is orthogonal to the anchor")
         return ray if val > 0 else (-ray[0], -ray[1])
 
-    def contains_line(self, ray: tuple[int, int]) -> bool:
-        u = self.orient(ray)
-        d1 = det2(self.start, u)
-        d2 = det2(u, self.end)
-        whole = det2(self.start, self.end)
-        if whole > 0:
-            return d1 >= 0 and d2 >= 0
-        return d1 <= 0 and d2 <= 0
+    def slope(self, ray: tuple[int, int]) -> Fraction:
+        """Exact coordinate of a positive-or-null ray around the anchor.
 
-    def position(self, ray: tuple[int, int]) -> tuple[bool, Fraction]:
-        """Exact sort key from start to end.
-
-        (False, y/x), with y/x growing from 0 at start, for every ray but the
-        end ray, which gets (True, 0) and so sorts after all of them.
+        Along anchor + s*B with B orthogonal to the anchor it is linear in
+        s, so it grows strictly across the half-plane q(anchor, .) > 0,
+        which holds every wall line; its sign is the side of the anchor.
         """
         u = self.orient(ray)
-        sol = coords_in_basis(
-            (self.start[0], self.start[1], 0), (self.end[0], self.end[1], 0),
-            (u[0], u[1], 0),
-        )
-        if sol is None:
-            raise SectorError(f"ray {ray} outside the sector plane")
-        x, y = sol
-        if x < 0 or y < 0:
-            raise SectorError(f"ray {ray} lies outside the sector")
-        if x == 0:
-            return (True, Fraction(0))
-        return (False, y / x)
+        return Fraction(det2(self.anchor, u), self.q(self.anchor, u))
+
+    def position(self, ray: tuple[int, int]) -> Fraction | None:
+        """Exact sort key growing from start to end; None outside the sector."""
+        sign = -1 if self.slope(self.start) > self.slope(self.end) else 1
+        lo, hi, pos = (sign * self.slope(r) for r in (self.start, self.end, ray))
+        return pos if lo <= pos <= hi else None
+
+    def contains_line(self, ray: tuple[int, int]) -> bool:
+        return self.position(ray) is not None
 
 
 def _gieseker_anchor(
@@ -234,28 +219,17 @@ def _gieseker_anchor(
 ) -> tuple[int, int]:
     """Primitive NS ray of a large-volume charge, beyond every candidate wall."""
     v_eff = MukaiVector(*lex_sign(v.as_tuple()))
-    if v_eff.r != 0:
-        b0 = Fraction(v_eff.c, v_eff.r) - 1
-    else:
-        b0 = Fraction(0)
+    b0 = Fraction(v_eff.c, v_eff.r) - 1 if v_eff.r != 0 else Fraction(0)
+    walls = [numerical_wall(cfg, v_eff, a) for a in seeds]
+    verticals = {w.line_b for w in walls if w.shape == "vertical"}
     for _ in range(32):
-        vertical_hit = False
-        top = Fraction(4)
-        for a in seeds:
-            wall = numerical_wall(cfg, v_eff, a)
-            if wall.shape == "vertical" and wall.line_b == b0:
-                vertical_hit = True
-                break
-            if wall.alpha != 0:
-                t2 = -(wall.alpha * b0 * b0 + wall.beta * b0 + wall.gamma) / wall.alpha
-                if t2 > top:
-                    top = t2
-        if not vertical_hit:
+        if b0 not in verticals:
             break
         b0 -= 1
     else:
         raise SectorError("no vertical line avoids every candidate wall")
-    t2 = top + 1
+    tops = [w.t2_at(b0) for w in walls]
+    t2 = max([Fraction(4)] + [t for t in tops if t is not None]) + 1
     rv, mv = _charge_parts(cfg, v_eff, b0, t2)
     e = cfg.h2
     # w = Im(-conj(charge form)/Z(v)) direction: mv*A - rv*B with
@@ -263,55 +237,27 @@ def _gieseker_anchor(
     A = (Fraction(1), b0, Fraction(e, 2) * (b0 * b0 - t2))
     B = (Fraction(0), Fraction(1), e * b0)
     w = tuple(mv * A[i] - rv * B[i] for i in range(3))
-    den = 1
-    for x in w:
-        den = den * x.denominator // gcd(den, x.denominator)
-    w_int = tuple(int(x * den) for x in w)
-    row = pairing_row(cfg, v)
-    assert sum(row[i] * w_int[i] for i in range(3)) == 0
-    co = coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), w_int)
-    assert co is not None
-    den = co[0].denominator * co[1].denominator // gcd(
-        co[0].denominator, co[1].denominator
-    )
-    ray = (int(co[0] * den), int(co[1] * den))
-    g = gcd(ray[0], ray[1])
-    return (ray[0] // g, ray[1] // g)
+    co = coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), w)
+    assert co is not None  # w lies in v-perp
+    den = lcm(co[0].denominator, co[1].denominator)
+    return primitive_vector((int(co[0] * den), int(co[1] * den)))
 
 
 def _null_rays(gram: tuple[int, int, int]) -> list[tuple[int, int]]:
-    """Primitive rational null rays of the NS form, if any (one per line)."""
+    """Primitive rational null rays of the NS form (signature (1,1)), if any."""
     g11, g12, g22 = gram
-    raw: list[tuple[int, int]] = []
-    if g11 == 0 and g22 == 0:
-        raw = [(1, 0), (0, 1)]
-    elif g11 == 0:
-        raw = [(1, 0), (-g22, 2 * g12)] if g12 else [(1, 0)]
+    if g11 == 0:
+        raw = [(1, 0), (-g22, 2 * g12)]
     else:
-        disc = g12 * g12 - g11 * g22
-        root = sqrt_exact(disc)
+        root = sqrt_exact(g12 * g12 - g11 * g22)
         if root is None:
             return []
-        if root == 0:
-            raw = [(-g12, g11)]
-        else:
-            raw = [(-g12 + root, g11), (-g12 - root, g11)]
-    uniq: list[tuple[int, int]] = []
-    for x, y in raw:
-        g = gcd(x, y)
-        if g == 0:
-            continue
-        ray = lex_sign((x // g, y // g))
-        if ray not in uniq:
-            uniq.append(ray)
-    return uniq
+        raw = [(-g12 + root, g11), (-g12 - root, g11)]
+    return [lex_sign(primitive_vector(ray)) for ray in raw]
 
 
 def _ray_coords(basis: NSBasis, line: MukaiVector) -> tuple[int, int]:
-    co = coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), line.as_tuple())
-    if co is None or co[0].denominator != 1 or co[1].denominator != 1:
-        raise SectorError(f"wall line {line} is not integral in the NS basis")
-    return lex_sign((int(co[0]), int(co[1])))
+    return lex_sign(basis.int_coords(line))
 
 
 def movable_cone(
@@ -322,55 +268,26 @@ def movable_cone(
     cone = MovableCone(basis, basis.gram(cfg), anchor, anchor, anchor, "", "")
     assert cone.q(anchor, anchor) > 0
 
-    div_rays = []
+    # (slope, ray, kind, is_hc); the null rays carry the extreme slopes, so
+    # one bounds a side only when that side has no divisorial ray
+    rays = []
     for w in candidates:
         bn, hc, lgu = divisorial_classes(w)
         if bn or hc or lgu:
-            div_rays.append((cone.orient(_ray_coords(basis, w.line)), bool(hc)))
-
-    def side(ray):
-        d = det2(anchor, ray)
-        if d == 0:
-            raise SectorError("divisorial ray equals the anchor ray")
-        return 1 if d > 0 else -1
-
-    def closer(r1, r2):
-        # both on the same side of the anchor: smaller angle from anchor first
-        d = det2(r1, r2)
-        if d == 0:
-            return r1
-        same = side(r1)
-        return r1 if (d > 0) == (same > 0) else r2
-
-    best = {1: None, -1: None}
-    for ray, is_hc in div_rays:
-        sd = side(ray)
-        cur = best[sd]
-        if cur is None or closer(ray, cur[0]) == ray:
-            best[sd] = (ray, is_hc)
-
-    nulls = [cone.orient(n) for n in _null_rays(cone.gram)]
-    bounds = {}
-    for sd in (1, -1):
-        if best[sd] is not None:
-            bounds[sd] = (best[sd][0], "divisorial", best[sd][1])
-        else:
-            pick = [n for n in nulls if side(n) == sd]
-            if not pick:
-                raise SectorError(
-                    "no divisorial wall and no rational null ray on one side; "
-                    "the movable sector cannot be bounded exactly"
-                )
-            bounds[sd] = (pick[0], "null", False)
-
-    plus, minus = bounds[1], bounds[-1]
+            rays.append((cone.slope(w.ray), cone.orient(w.ray), "divisorial", bool(hc)))
+    if any(r[0] == 0 for r in rays):
+        raise SectorError("divisorial ray equals the anchor ray")
+    rays += [(cone.slope(n), cone.orient(n), "null", False) for n in _null_rays(cone.gram)]
+    plus = min((r for r in rays if r[0] > 0), key=lambda r: r[0], default=None)
+    minus = max((r for r in rays if r[0] < 0), key=lambda r: r[0], default=None)
+    if plus is None or minus is None:
+        raise SectorError(
+            "no divisorial wall and no rational null ray on one side; "
+            "the movable sector cannot be bounded exactly"
+        )
     # start at a divisorial boundary, preferring the Hilbert-Chow type
-    ordered = sorted(
-        [plus, minus],
-        key=lambda b: (b[1] != "divisorial", not b[2], b[0]),
-    )
-    start, end = ordered[0], ordered[1]
-    return replace(cone, start=start[0], end=end[0], start_kind=start[1], end_kind=end[1])
+    start, end = sorted([plus, minus], key=lambda r: (r[2] != "divisorial", not r[3], r[1]))
+    return replace(cone, start=start[1], end=end[1], start_kind=start[2], end_kind=end[2])
 
 
 @dataclass(frozen=True)
@@ -386,19 +303,25 @@ def default_window(cfg: K3Config, v: MukaiVector) -> int:
 
 
 def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis):
+    """One wall per orthogonal line, built once from its first seed."""
     vsq = square(cfg, v)
-    found: dict[tuple[int, int, int], WallLattice] = {}
-    for d in (-2, 0):
-        for m in range(1 if d == 0 else 0, vsq // 2 + 1):
-            for a in solve_square_with_pairing(cfg, v, d, m, window, basis):
-                wall = build_wall(cfg, v, a)
-                found.setdefault(wall.line.as_tuple(), wall)
+    hits = [
+        a
+        for d in (-2, 0)
+        for m in range(1 if d == 0 else 0, vsq // 2 + 1)
+        for a in solve_square_with_pairing(cfg, v, d, m, window, basis)
+    ]
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays
     # of v-perp, one degenerate wall per ray, found without a window
-    for x, y in _null_rays(basis.gram(cfg)):
-        wall = build_wall(cfg, v, basis.from_coords(x, y))
-        found.setdefault(wall.line.as_tuple(), wall)
-    return found
+    hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram(cfg))]
+    seeds: dict[tuple[int, int, int], MukaiVector] = {}
+    for a in hits:
+        seeds.setdefault(orthogonal_line_generator(cfg, v, a).as_tuple(), a)
+    walls = {}
+    for key, a in seeds.items():
+        wall = build_wall(cfg, v, a)
+        walls[key] = replace(wall, ray=_ray_coords(basis, wall.line))
+    return walls
 
 
 def enumerate_result(
@@ -413,17 +336,16 @@ def enumerate_result(
         raise ValueError("v must have positive square")
     if window is None:
         window = default_window(cfg, v)
+    if window < 1:
+        # the stability pass at twice the window would repeat this one
+        raise ValueError(f"window must be a positive integer, got {window}")
     basis = lambda_basis(cfg, v)
 
     def run(win: int):
         cands = _candidate_walls(cfg, v, win, basis)
         cone = movable_cone(cfg, v, list(cands.values()), basis)
         if sector == "mov":
-            kept = {
-                key: w
-                for key, w in cands.items()
-                if cone.contains_line(_ray_coords(basis, w.line))
-            }
+            kept = {key: w for key, w in cands.items() if cone.contains_line(w.ray)}
         elif sector == "positive":
             kept = cands
         else:
@@ -434,23 +356,14 @@ def enumerate_result(
     kept2, _ = run(2 * window)
     stable = set(kept) == set(kept2)
 
-    walls = []
-    for key, w in kept.items():
-        raw_ray = _ray_coords(basis, w.line)
-        inside = cone.contains_line(raw_ray)
-        ray = cone.orient(raw_ray) if inside else raw_ray
-        walls.append(
-            WallLattice(w.v, w.a, w.u, w.gram, w.line, ray, w.degenerate,
-                        w.square_normalized)
-        )
-
-    def sort_key(w: WallLattice):
-        if cone.contains_line(w.ray):
-            return (0, cone.position(w.ray), w.a.as_tuple())
-        return (1, Fraction(0), w.a.as_tuple())
-
-    walls.sort(key=sort_key)
-    return EnumerationResult(tuple(walls), cone, window, stable)
+    # walls meeting the sector, oriented, from start to end; then the rest
+    # (sector "positive") by representative
+    placed = sorted(
+        ((cone.position(w.ray), w) for w in kept.values()),
+        key=lambda pw: (pw[0] is None, pw[0] or 0, pw[1].a.as_tuple()),
+    )
+    walls = tuple(w if pos is None else replace(w, ray=cone.orient(w.ray)) for pos, w in placed)
+    return EnumerationResult(walls, cone, window, stable)
 
 
 def enumerate_walls(

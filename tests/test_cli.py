@@ -151,6 +151,16 @@ def test_strict_escalates_unstable_window(capsys):
     assert code == 0  # warning only without --strict
 
 
+def test_window_below_one_is_usage_error(capsys):
+    # doubling a window of 0 repeats the same pass, which would read as stable
+    for window in ("0", "-5"):
+        code, out, err = invoke(
+            capsys, "walls", "--genus", "2", "--v", "1,0,-4", "--window", window, "--strict"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "window" in err
+
+
 def test_pairing_command(capsys):
     code, out, _ = invoke(capsys, "pairing", "--x", "1,-1,2", "--y", "1,0,-4")
     assert code == 0 and out.strip() == "2"
@@ -173,6 +183,24 @@ def test_config_file_precedence(tmp_path, capsys):
     # flags win over the file
     code, out, _ = invoke(capsys, "walls", "--config", str(cfg_file), "--v", "0,2,-1")
     assert json.loads(out)["v"] == [0, 2, -1]
+
+
+def test_config_file_values_are_checked(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("v = 1,0,-4\nformat = xml\n")
+    code, out, err = invoke(capsys, "walls", "--config", str(cfg_file))
+    assert code == 1 and out == "" and "xml" in err
+    # a misspelt key is named, not ignored
+    cfg_file.write_text("v = 1,0,-4\nwindw = 4000\n")
+    code, out, err = invoke(capsys, "walls", "--config", str(cfg_file))
+    assert code == 1 and out == "" and "windw" in err
+    # integer values are parsed as the flags parse them, naming the key
+    cfg_file.write_text("v = 1,0,-4\nwindow = 4k\n")
+    code, out, err = invoke(capsys, "walls", "--config", str(cfg_file))
+    assert code == 1 and out == "" and "window" in err and "4k" in err
+    # a missing file is a usage error, not a traceback
+    code, out, err = invoke(capsys, "walls", "--config", str(tmp_path / "none.cfg"))
+    assert code == 1 and out == "" and err.startswith("error: ") and "none.cfg" in err
 
 
 def test_parse_vector_errors():

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import (
     K3Config,
@@ -9,7 +12,8 @@ from k3walls import (
     pairing,
     square,
 )
-from k3walls.intmath import cross3, primitive_vector
+from k3walls import walls as walls_mod
+from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector
 from k3walls.nsgeom import orthogonal_line_generator
 from k3walls.walls import MovableCone, _ray_coords, build_wall
 
@@ -237,3 +241,99 @@ def test_end_ray_sorts_after_every_interior_ray():
     steep = (1, 10**31)
     assert cone.contains_line(steep)
     assert cone.position((1, 0)) < cone.position(steep) < cone.position((0, 1))
+
+
+def test_window_below_one_is_rejected():
+    # the stability pass at twice the window would compare a pass with itself
+    for window in (0, -5):
+        with pytest.raises(ValueError, match="window"):
+            enumerate_result(CFG, VP, window=window)
+
+
+def test_each_candidate_line_is_built_once(monkeypatch):
+    # movable_cone runs once per pass, right after that pass's candidates
+    passes = [[]]
+    real_build, real_cone = walls_mod.build_wall, walls_mod.movable_cone
+
+    def counting_build(cfg, v, a):
+        wall = real_build(cfg, v, a)
+        passes[-1].append(wall.line.as_tuple())
+        return wall
+
+    def closing_cone(cfg, v, candidates, basis):
+        assert sorted(passes[-1]) == sorted(w.line.as_tuple() for w in candidates)
+        passes.append([])
+        return real_cone(cfg, v, candidates, basis)
+
+    monkeypatch.setattr(walls_mod, "build_wall", counting_build)
+    monkeypatch.setattr(walls_mod, "movable_cone", closing_cone)
+    enumerate_result(CFG, mv(3, 1, -7))
+    assert passes[-1] == [] and len(passes) == 3
+    for lines in passes[:2]:
+        assert len(lines) == len(set(lines))
+
+
+def _gram_q(gram, x, y):
+    g11, g12, g22 = gram
+    return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
+
+
+def _between_det2(cone, ray):
+    """Oracle for contains_line: the ray lies between start and end by det2 signs."""
+    u = cone.orient(ray)
+    d1, d2 = det2(cone.start, u), det2(u, cone.end)
+    if det2(cone.start, cone.end) > 0:
+        return d1 >= 0 and d2 >= 0
+    return d1 <= 0 and d2 <= 0
+
+
+def _cramer_key(cone, ray):
+    """Oracle for position: u = x*start + y*end, keyed by y/x (the end ray last)."""
+    u = cone.orient(ray)
+    x, y = coords_in_basis((*cone.start, 0), (*cone.end, 0), (*u, 0))
+    assert x >= 0 and y >= 0
+    return (True, Fraction(0)) if x == 0 else (False, y / x)
+
+
+@st.composite
+def sectors(draw):
+    """A form of signature (1,1), a positive anchor, and rays of its closed
+    positive component (start, end, then probes), some of them null."""
+    small = st.integers(-9, 9)
+    nulls = []
+    if draw(st.booleans()):
+        # the product of two independent linear forms: rational null rays
+        a1, b1, a2, b2 = draw(st.tuples(small, small, small, small))
+        assume(a1 * b2 - a2 * b1 != 0)
+        gram = (2 * a1 * a2, a1 * b2 + a2 * b1, 2 * b1 * b2)
+        nulls = [(b1, -a1), (b2, -a2)]
+    else:
+        gram = draw(st.tuples(small, small, small))
+        assume(gram[1] ** 2 - gram[0] * gram[2] > 0)
+    vecs = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=12))
+    positive = [x for x in vecs if _gram_q(gram, x, x) > 0]
+    assume(positive)
+    anchor = primitive_vector(positive[0])
+    # rays of either sign: MovableCone.orient moves each into the anchor's component
+    rays = draw(st.permutations(positive[1:] + nulls))
+    assume(len(rays) >= 2)
+    start, end = (x if _gram_q(gram, x, anchor) > 0 else (-x[0], -x[1]) for x in rays[:2])
+    assume(det2(start, end) != 0)
+    return MovableCone(None, gram, anchor, start, end, "", ""), rays
+
+
+@settings(max_examples=300, deadline=None)
+@given(sectors())
+def test_slope_places_rays_as_det2_and_cramer_do(case):
+    cone, rays = case
+    inside = []
+    for ray in rays:
+        assert cone.contains_line(ray) == _between_det2(cone, ray), ray
+        if cone.contains_line(ray):
+            inside.append(ray)
+    assert len(inside) >= 2  # start and end
+    for r1 in inside:
+        for r2 in inside:
+            assert (cone.position(r1) < cone.position(r2)) == (
+                _cramer_key(cone, r1) < _cramer_key(cone, r2)
+            ), (r1, r2)
