@@ -46,6 +46,6 @@ from .stability import (
     numerical_wall,
     path_crossings,
 )
-from .walls import EnumerationResult, WallLattice, enumerate_result, enumerate_walls, normalize_representative
+from .walls import EnumerationResult, WallLattice, enumerate_result, enumerate_walls
 
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ class WallSurvey:
 
 
 def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurvey:
-    enum = enumerate_result(cfg, v, "mov", window)
+    enum = enumerate_result(cfg, v, window)
     basis = enum.cone.basis
     records = []
     for idx, wall in enumerate(enum.walls):
@@ -124,7 +124,7 @@ def path_report(
     t_max=None,
     window: int | None = None,
 ) -> PathReport:
-    enum = enumerate_result(cfg, v, "mov", window)
+    enum = enumerate_result(cfg, v, window)
     classes = [wall.a for wall in enum.walls]
     crossings = path_crossings(cfg, v, classes, b0, t_min, t_max)
     indices = tuple(cr.wall_index for cr in crossings)

@@ -83,19 +83,22 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="k3walls", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand takes only the flags it reads
+    def common(p, vector=True, enumeration=False):
         p.add_argument("--genus", type=int, default=None)
-        p.add_argument("--v", dest="v", default=None, metavar="r,c,s")
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument("--strict", action="store_true")
+        if vector:
+            p.add_argument("--v", dest="v", default=None, metavar="r,c,s")
+        if enumeration:
+            p.add_argument("--window", type=int, default=None)
+            p.add_argument("--format", choices=FORMATS, default=None)
+            p.add_argument("--strict", action="store_true")
         p.add_argument("--config", default=None)
 
     p_walls = sub.add_parser("walls", help="wall table for the movable cone")
-    common(p_walls)
+    common(p_walls, enumeration=True)
 
     p_path = sub.add_parser("path", help="crossings of a vertical stability path")
-    common(p_path)
+    common(p_path, enumeration=True)
     p_path.add_argument("--b", default=None, metavar="RAT")
     p_path.add_argument("--t-min", dest="t_min", default=None, metavar="RAT")
     p_path.add_argument("--t-max", dest="t_max", default=None, metavar="RAT")
@@ -113,7 +116,7 @@ def build_parser() -> _Parser:
     p_cl.add_argument("--a", default=None, metavar="r,c,s")
 
     p_pair = sub.add_parser("pairing", help="Mukai pairing of two classes")
-    common(p_pair)
+    common(p_pair, vector=False)
     p_pair.add_argument("--x", default=None, metavar="r,c,s")
     p_pair.add_argument("--y", default=None, metavar="r,c,s")
     return parser

@@ -13,7 +13,6 @@ from .intmath import (
     coords_in_basis,
     cross3,
     frac_str,
-    hnf_two_rows,
     kernel_basis_int,
     lex_sign,
     primitive_vector,
@@ -74,8 +73,7 @@ def lambda_basis(cfg: K3Config, v: MukaiVector) -> NSBasis:
         delta = MukaiVector(-1, 0, v.s)
         hclass = MukaiVector(0, -1, 0)
         return NSBasis(v, delta, hclass, ("delta", "H"))
-    rows = kernel_basis_int(primitive_vector(pairing_row(cfg, v)))
-    b1, b2 = (lex_sign(r) for r in hnf_two_rows(rows))
+    b1, b2 = (lex_sign(r) for r in kernel_basis_int(primitive_vector(pairing_row(cfg, v))))
     return NSBasis(v, MukaiVector(*b1), MukaiVector(*b2), ("e1", "e2"))
 
 

@@ -45,6 +45,11 @@ def gram_of(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> GramForm2:
     return GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
 
 
+def _free_index(v: MukaiVector) -> int:
+    """Index of the coordinate of a that the window bounds: c, or r when v = (0, c, 0)."""
+    return 0 if v.r == 0 == v.s else 1
+
+
 def solve_square_with_pairing(
     cfg: K3Config,
     v: MukaiVector,
@@ -69,7 +74,7 @@ def solve_square_with_pairing(
         raise ValueError(f"pairing {m} outside [0, {vsq}/2]")
     if d == 0 == m:
         raise ValueError("(a,a) = 0 = (a,v) is a union of null lines, not a finite family")
-    i = 0 if v.r == 0 == v.s else 1
+    i = _free_index(v)
     e1, e2, vt = basis.e1.as_tuple(), basis.e2.as_tuple(), v.as_tuple()
     offset = -m * vt[i]
     levels = range(offset - window * vsq, offset + window * vsq + 1, vsq)

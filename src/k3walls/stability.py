@@ -241,14 +241,11 @@ def alignment_candidates(
         pts = [(b, (u + w) / 2) for u, w in zip(breaks, breaks[1:]) if (u + w) > 0]
         if not pts:
             pts = [(b, Fraction(1))]
-    out = []
-    for b, t2 in pts:
-        if any(hb == b and ht2 == t2 for hb, ht2, _ in hole_list):
-            continue
-        func = AlignmentFunctional(cfg, v, b, t2)
-        if func.phi(v) == 1:
-            out.append(func)
-    return out
+    return [
+        AlignmentFunctional(cfg, v, b, t2)
+        for b, t2 in pts
+        if not any(hb == b and ht2 == t2 for hb, ht2, _ in hole_list)
+    ]
 
 
 @dataclass(frozen=True)

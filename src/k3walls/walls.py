@@ -5,7 +5,9 @@ Candidate lattices come from the families (a,a) in {-2, 0} with
 saturated, one wall per line.
 The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
 one degenerate wall per ray; the others are solved in v-perp with one
-coordinate bounded by a window.
+coordinate bounded by a window.  One search at twice the window serves
+both the window and its stability check: the window's lines are those
+whose smallest bounded coordinate (their reach) lies within it.
 The movable sector is bootstrapped: an ample-side anchor ray is computed
 from a large-volume charge, and rays are placed by one exact slope around
 it.  The nearest divisorial wall on each side of the anchor bounds the
@@ -31,7 +33,7 @@ from .intmath import (
 )
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
-from .solvers import GramForm2, classes_in_rank2, solve_square_with_pairing
+from .solvers import GramForm2, _free_index, classes_in_rank2, solve_square_with_pairing
 from .stability import _charge_parts, numerical_wall
 
 DEFAULT_WINDOW_FACTOR = 16
@@ -81,23 +83,6 @@ def complete_basis(v: MukaiVector, b1: MukaiVector, b2: MukaiVector) -> MukaiVec
     return -y * b1 + x * b2
 
 
-def _radical_generator(cfg: K3Config, b1: MukaiVector, b2: MukaiVector) -> MukaiVector:
-    """Primitive isotropic generator of the radical of a degenerate lattice."""
-    g11 = square(cfg, b1)
-    g12 = pairing(cfg, b1, b2)
-    g22 = square(cfg, b2)
-    # integer kernel of [[g11, g12], [g12, g22]]
-    if g11 == 0 == g12:
-        x, y = 1, 0
-    else:
-        g = gcd(g11, g12)
-        x, y = -g12 // g, g11 // g
-    rad = x * b1 + y * b2
-    if square(cfg, rad) != 0:
-        raise ValueError("lattice is not degenerate")
-    return MukaiVector(*lex_sign(rad.as_tuple()))
-
-
 def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
     """Representative +-u + kv with pairing in [0, v^2/2] and minimal square."""
     vsq = square(cfg, v)
@@ -125,26 +110,26 @@ def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
     return a, square(cfg, a) in (-2, 0)
 
 
-def normalize_representative(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> MukaiVector:
-    """Normalized generator of the saturated wall lattice spanned by v and a."""
-    return build_wall(cfg, v, a).a
-
-
 def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattice:
     """Saturate, normalize and package the lattice spanned by v and a_seed."""
-    b1, b2 = saturated_basis(v, a_seed)
-    u = complete_basis(v, b1, b2)
-    disc = square(cfg, b1) * square(cfg, b2) - pairing(cfg, b1, b2) ** 2
+    vsq = square(cfg, v)
+    if vsq <= 0:
+        raise ValueError(f"v^2 = {vsq} is not positive")
+    u = complete_basis(v, *saturated_basis(v, a_seed))
+    vu = pairing(cfg, v, u)
+    disc = vsq * square(cfg, u) - vu * vu
     if disc > 0:
         raise ValueError("lattice is positive definite, not a wall")
     if disc == 0:
-        a = _radical_generator(cfg, b1, b2)
+        # the radical: the integer kernel of the Gram matrix of (v, u)
+        g = gcd(vsq, vu)
+        a = MukaiVector(*lex_sign(((vsq // g) * u - (vu // g) * v).as_tuple()))
         norm_ok = True
         degenerate = True
     else:
         a, norm_ok = _normalize_in_basis(cfg, v, u)
         degenerate = False
-    gram = GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
+    gram = GramForm2(vsq, pairing(cfg, v, a), square(cfg, a))
     line = orthogonal_line_generator(cfg, v, a)
     return WallLattice(v, a, u, gram, line, degenerate, norm_ok)
 
@@ -303,33 +288,37 @@ def default_window(cfg: K3Config, v: MukaiVector) -> int:
 
 
 def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis):
-    """One wall per orthogonal line, built once from its first seed."""
+    """One wall per orthogonal line, built once, with the line's reach.
+
+    The reach is the smallest |free coordinate| of the line's seeds (0 for
+    a null ray), so a search at any window w <= window finds exactly the
+    lines of reach <= w.
+    """
     vsq = square(cfg, v)
+    i = _free_index(v)
     hits = [
-        a
+        (abs(a.as_tuple()[i]), a)
         for d in (-2, 0)
         for m in range(1 if d == 0 else 0, vsq // 2 + 1)
         for a in solve_square_with_pairing(cfg, v, d, m, window, basis)
     ]
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays
     # of v-perp, one degenerate wall per ray, found without a window
-    hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram(cfg))]
-    seeds: dict[tuple[int, int, int], MukaiVector] = {}
-    for a in hits:
-        seeds.setdefault(orthogonal_line_generator(cfg, v, a).as_tuple(), a)
+    hits += [(0, basis.from_coords(x, y)) for x, y in _null_rays(basis.gram(cfg))]
+    # the wall is the saturation of the plane, so any seed of a line builds it
+    seeds: dict[tuple[int, int, int], tuple[int, MukaiVector]] = {}
+    for t, a in hits:
+        key = orthogonal_line_generator(cfg, v, a).as_tuple()
+        if key not in seeds or t < seeds[key][0]:
+            seeds[key] = (t, a)
     walls = {}
-    for key, a in seeds.items():
+    for key, (reach, a) in seeds.items():
         wall = build_wall(cfg, v, a)
-        walls[key] = replace(wall, ray=_ray_coords(basis, wall.line))
+        walls[key] = (reach, replace(wall, ray=_ray_coords(basis, wall.line)))
     return walls
 
 
-def enumerate_result(
-    cfg: K3Config,
-    v: MukaiVector,
-    sector: str = "mov",
-    window: int | None = None,
-) -> EnumerationResult:
+def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
     if vec_content(v.as_tuple()) != 1:
         raise ValueError(f"v = {v} must be primitive")
     if square(cfg, v) <= 0:
@@ -340,37 +329,22 @@ def enumerate_result(
         # the stability pass at twice the window would repeat this one
         raise ValueError(f"window must be a positive integer, got {window}")
     basis = lambda_basis(cfg, v)
+    # one search at twice the window; each window's pool is the lines it reaches
+    cands = _candidate_walls(cfg, v, 2 * window, basis)
+    passes = []
+    for win in (window, 2 * window):
+        pool = {key: w for key, (reach, w) in cands.items() if reach <= win}
+        cone = movable_cone(cfg, v, list(pool.values()), basis)
+        passes.append((cone, {key: w for key, w in pool.items() if cone.contains_line(w.ray)}))
+    (cone, kept), (_, kept2) = passes
+    stable = kept.keys() == kept2.keys()
 
-    def run(win: int):
-        cands = _candidate_walls(cfg, v, win, basis)
-        cone = movable_cone(cfg, v, list(cands.values()), basis)
-        if sector == "mov":
-            kept = {key: w for key, w in cands.items() if cone.contains_line(w.ray)}
-        elif sector == "positive":
-            kept = cands
-        else:
-            raise ValueError(f"unknown sector {sector!r}")
-        return kept, cone
-
-    kept, cone = run(window)
-    kept2, _ = run(2 * window)
-    stable = set(kept) == set(kept2)
-
-    # walls meeting the sector, oriented, from start to end; then the rest
-    # (sector "positive") by representative
-    placed = sorted(
-        ((cone.position(w.ray), w) for w in kept.values()),
-        key=lambda pw: (pw[0] is None, pw[0] or 0, pw[1].a.as_tuple()),
-    )
-    walls = tuple(w if pos is None else replace(w, ray=cone.orient(w.ray)) for pos, w in placed)
+    # the walls meeting the sector, oriented, from start to end
+    placed = sorted((cone.position(w.ray), key) for key, w in kept.items())
+    walls = tuple(replace(kept[key], ray=cone.orient(kept[key].ray)) for _, key in placed)
     return EnumerationResult(walls, cone, window, stable)
 
 
-def enumerate_walls(
-    cfg: K3Config,
-    v: MukaiVector,
-    sector: str = "mov",
-    window: int | None = None,
-) -> list[WallLattice]:
-    """Complete, duplicate-free wall lattices whose line meets the sector."""
-    return list(enumerate_result(cfg, v, sector, window).walls)
+def enumerate_walls(cfg: K3Config, v: MukaiVector, window: int | None = None) -> list[WallLattice]:
+    """Complete, duplicate-free wall lattices whose line meets the movable sector."""
+    return list(enumerate_result(cfg, v, window).walls)

@@ -166,12 +166,33 @@ def test_pairing_command(capsys):
     assert code == 0 and out.strip() == "2"
 
 
+def test_flags_a_subcommand_ignores_are_rejected(capsys):
+    # --window, --format and --strict belong to walls and path; pairing has no --v
+    for flag, argv in [
+        ("--format", ("pairing", "--x", "1,-1,2", "--y", "1,0,-4", "--format", "json")),
+        ("--v", ("pairing", "--x", "1,-1,2", "--y", "1,0,-4", "--v", "1,0,-4")),
+        ("--window", ("classify", "--v", "1,0,-4", "--a", "1,-1,2", "--window", "4")),
+        ("--strict", ("transform", "--tstar", "--v", "0,2,-1", "--strict")),
+    ]:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
 def test_classify_command(capsys):
     code, out, _ = invoke(capsys, "classify", "--genus", "2", "--v", "1,0,-4",
                           "--a", "1,-1,2")
     assert code == 0
     assert "flopping" in out and "spherical" in out
     assert "totally_semistable: no" in out
+
+
+def test_classify_rejects_non_positive_v(capsys):
+    # a wall needs v^2 > 0: v^2 = 0 and v^2 < 0 give one error line, not a traceback
+    for v, a in (("0,0,1", "1,0,0"), ("0,0,1", "0,1,0"), ("1,0,1", "0,1,0")):
+        code, out, err = invoke(capsys, "classify", "--v", v, "--a", a)
+        assert code == 1 and out == ""
+        assert err.startswith("error: v^2 = ") and "is not positive" in err
 
 
 def test_config_file_precedence(tmp_path, capsys):

@@ -15,7 +15,9 @@ from k3walls import (
     solve_square_with_pairing,
     square,
 )
+from k3walls.nsgeom import orthogonal_line_generator
 from k3walls.solvers import gram_of, level_points, spherical_classes
+from k3walls.walls import _candidate_walls, _null_rays
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -293,3 +295,25 @@ def test_solve_square_matches_box_scan(g, vt, d, window, data):
             if square(cfg, a) == d:
                 brute.add(a)
     assert {a for a in got if max(map(abs, a.as_tuple())) <= BOX} == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), V_SHAPES, st.integers(1, 6))
+def test_reach_filter_matches_a_direct_search(g, vt, window):
+    # one search at twice the window, filtered on reach, finds the lines of
+    # a search at the window itself
+    cfg = K3Config(g)
+    v = mv(*vt)
+    vsq = square(cfg, v)
+    assume(gcd(gcd(*vt[:2]), vt[2]) == 1 and vsq > 0)
+    basis = lambda_basis(cfg, v)
+    cands = _candidate_walls(cfg, v, 2 * window, basis)
+    hits = [
+        a
+        for d in (-2, 0)
+        for m in range(1 if d == 0 else 0, vsq // 2 + 1)
+        for a in solve_square_with_pairing(cfg, v, d, m, window, basis)
+    ]
+    hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram(cfg))]
+    direct = {orthogonal_line_generator(cfg, v, a).as_tuple() for a in hits}
+    assert {key for key, (reach, _) in cands.items() if reach <= window} == direct

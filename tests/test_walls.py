@@ -8,14 +8,13 @@ from k3walls import (
     enumerate_result,
     enumerate_walls,
     mv,
-    normalize_representative,
     pairing,
     square,
 )
 from k3walls import walls as walls_mod
 from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector
-from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.walls import MovableCone, _ray_coords, build_wall
+from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
+from k3walls.walls import MovableCone, _candidate_walls, _ray_coords, build_wall, default_window
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -30,14 +29,14 @@ def same_up_to_sign(x, y):
 
 
 def test_normalize_coset_recovery():
-    assert normalize_representative(CFG, VP, mv(2, -1, -2)) == mv(1, -1, 2)
-    assert normalize_representative(CFG, VP, mv(-1, 1, -2)) == mv(1, -1, 2)
+    assert build_wall(CFG, VP, mv(2, -1, -2)).a == mv(1, -1, 2)
+    assert build_wall(CFG, VP, mv(-1, 1, -2)).a == mv(1, -1, 2)
 
 
 def test_normalize_table_rows_fixed():
     for v, table in ((VP, VP_TABLE), (VM, VM_TABLE)):
         for a in table:
-            got = normalize_representative(CFG, v, a)
+            got = build_wall(CFG, v, a).a
             assert same_up_to_sign(got, a), (v, a, got)
             assert 0 <= pairing(CFG, got, v) <= square(CFG, v) // 2
             assert square(CFG, got) in (-2, 0)
@@ -47,7 +46,7 @@ def test_normalize_saturates():
     # (0,1,-1) and (-2,1,-1) span an index-two sublattice of the
     # Hilbert-Chow lattice; normalization must land in the saturation
     v = mv(0, 1, -1)
-    got = normalize_representative(CFG, v, mv(-2, 1, -1))
+    got = build_wall(CFG, v, mv(-2, 1, -1)).a
     assert square(CFG, got) == 0 and abs(pairing(CFG, got, v)) == 1
 
 
@@ -201,15 +200,6 @@ def test_build_wall_from_unsaturated_seed():
     assert wall.gram.disc == -1  # saturated Hilbert-Chow lattice
 
 
-def test_positive_sector_is_superset():
-    res_mov = enumerate_result(CFG, VP, window=24)
-    res_pos = enumerate_result(CFG, VP, sector="positive", window=24)
-    mov_lines = {w.line.as_tuple() for w in res_mov.walls}
-    pos_lines = {w.line.as_tuple() for w in res_pos.walls}
-    assert mov_lines <= pos_lines
-    assert len(pos_lines) > len(mov_lines)  # mirror walls live outside Mov
-
-
 def test_higher_genus_enumeration():
     # with no rational isotropic direction the sector closes on a second
     # divisorial wall instead of a fibration ray
@@ -230,9 +220,12 @@ def test_higher_genus_oracle():
 def test_isotropic_walls_come_from_every_null_ray():
     # the classes with a^2 = 0 = (a, v) are multiples of the null rays of
     # v-perp; a window scan of that family misses the ray of (50, 35, 98)
-    res = enumerate_result(K3Config(5), mv(5, 3, 7), "positive", 32)
-    lines = {w.line.as_tuple() for w in res.walls if w.degenerate}
+    cfg, v = K3Config(5), mv(5, 3, 7)
+    cands = _candidate_walls(cfg, v, 32, lambda_basis(cfg, v))
+    lines = {w.line.as_tuple() for _, w in cands.values() if w.degenerate}
     assert lines == {(2, 1, 2), (50, 35, 98)}
+    # (50, 35, 98) lies outside the movable sector
+    assert [w.line.as_tuple() for w in enumerate_walls(cfg, v)] == [(24, 17, 48), (2, 1, 2)]
 
 
 def test_end_ray_sorts_after_every_interior_ray():
@@ -251,26 +244,35 @@ def test_window_below_one_is_rejected():
 
 
 def test_each_candidate_line_is_built_once(monkeypatch):
-    # movable_cone runs once per pass, right after that pass's candidates
-    passes = [[]]
-    real_build, real_cone = walls_mod.build_wall, walls_mod.movable_cone
+    # one solver call per (a^2, (a, v)) family, all at twice the window, and
+    # one build per line over the whole enumeration
+    windows, built = [], []
+    real_solve, real_build = walls_mod.solve_square_with_pairing, walls_mod.build_wall
+
+    def counting_solve(cfg, v, d, m, window, basis):
+        windows.append(window)
+        return real_solve(cfg, v, d, m, window, basis)
 
     def counting_build(cfg, v, a):
         wall = real_build(cfg, v, a)
-        passes[-1].append(wall.line.as_tuple())
+        built.append(wall.line.as_tuple())
         return wall
 
-    def closing_cone(cfg, v, candidates, basis):
-        assert sorted(passes[-1]) == sorted(w.line.as_tuple() for w in candidates)
-        passes.append([])
-        return real_cone(cfg, v, candidates, basis)
-
+    monkeypatch.setattr(walls_mod, "solve_square_with_pairing", counting_solve)
     monkeypatch.setattr(walls_mod, "build_wall", counting_build)
-    monkeypatch.setattr(walls_mod, "movable_cone", closing_cone)
-    enumerate_result(CFG, mv(3, 1, -7))
-    assert passes[-1] == [] and len(passes) == 3
-    for lines in passes[:2]:
-        assert len(lines) == len(set(lines))
+    v = mv(3, 1, -7)
+    res = enumerate_result(CFG, v)
+    assert len(windows) == square(CFG, v) + 1
+    assert set(windows) == {2 * default_window(CFG, v)} == {2 * res.window}
+    assert len(built) == len(set(built))
+
+
+def test_each_window_keeps_the_lines_it_reaches():
+    # on (1, 0, -4) windows 1, 2 and 3 each reach one more wall; a line
+    # whose reach equals the window belongs to that window
+    results = [enumerate_result(CFG, VP, window=w) for w in (1, 2, 3)]
+    assert [len(res.walls) for res in results] == [4, 5, 6]
+    assert [res.stable for res in results] == [False, False, True]
 
 
 def _gram_q(gram, x, y):
