@@ -33,7 +33,6 @@ from .solvers import (
     GramForm2,
     classes_in_rank2,
     decomposition_solutions,
-    lattice_points_in_parallelogram,
     solve_square_with_pairing,
 )
 from .stability import (

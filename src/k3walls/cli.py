@@ -139,6 +139,14 @@ def _int_setting(args, file_cfg: dict, key: str, default=None) -> int | None:
         raise UsageError(f"{key} must be an integer, got {val!r}") from None
 
 
+def _enumeration_settings(args, file_cfg) -> tuple[str, int | None]:
+    """The output format and the window, which only walls and path read."""
+    fmt = _setting(args, file_cfg, "format", "table")
+    if fmt not in FORMATS:
+        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
+    return fmt, _int_setting(args, file_cfg, "window")
+
+
 def _require_vector(args, file_cfg, key="v") -> MukaiVector:
     raw = _setting(args, file_cfg, key)
     if raw is None:
@@ -151,13 +159,10 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     file_cfg = read_config_file(args.config) if args.config else {}
     cfg = K3Config(_int_setting(args, file_cfg, "genus", 2))
-    fmt = _setting(args, file_cfg, "format", "table")
-    if fmt not in FORMATS:
-        raise UsageError(f"format must be one of {', '.join(FORMATS)}, got {fmt!r}")
-    window = _int_setting(args, file_cfg, "window")
     out = sys.stdout
 
     if args.command == "walls":
+        fmt, window = _enumeration_settings(args, file_cfg)
         v = _require_vector(args, file_cfg)
         sv = survey(cfg, v, window)
         doc = walls_document_from_survey(sv)
@@ -167,6 +172,7 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "path":
+        fmt, window = _enumeration_settings(args, file_cfg)
         v = _require_vector(args, file_cfg)
         b_raw = _setting(args, file_cfg, "b")
         if b_raw is None:

@@ -7,15 +7,17 @@ of parallel lines.  level_points answers it exactly, and the other
 solvers here are single calls to it.  That includes
 solve_square_with_pairing, the candidate search of the rank-three
 lattice: it solves for the wall divisors v^2*a - (a,v)*v on the form of
-v-perp, along the level lines of one coordinate, which a window bounds.
+v-perp, along the level lines of one coordinate.  The window picks the
+level lines; inside it the solutions come from Pell orbits when that is
+cheaper than testing each level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from math import isqrt
 
-from .intmath import xgcd
+from .intmath import sqrt_exact, xgcd
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis
 
@@ -103,10 +105,10 @@ def level_points(
     along it is A*n^2 + 2*j*b*n + j^2*Q(x0, y0), where A = Q(dx, dy) and the
     pairing b of the two vectors are shared by every level; their determinant
     is -1, so a quarter of the discriminant of Q - lo is Delta*j^2 + A*lo
-    with Delta = q12^2 - q11*q22.  Either hi = lo (exact square root, or one
-    linear root on null lines, A = 0; a line that solves throughout raises
-    ValueError) or hi is None (Q >= lo, bounded only when A < 0; exact
-    integer rounding of both roots).
+    with Delta = q12^2 - q11*q22.  Either hi = lo (exact square roots, from
+    _square_levels, or one linear root on null lines, A = 0; a line that
+    solves throughout raises ValueError) or hi is None (Q >= lo, bounded
+    only when A < 0; exact integer rounding of both roots).
     """
     if hi is not None and hi != lo:
         raise ValueError("only Q = lo or Q >= lo is supported")
@@ -122,35 +124,92 @@ def level_points(
     q0 = form.value(x0, y0)
     delta = form.disc_prime
     out: set[tuple[int, int]] = set()
-    for k in levels:
-        if k % g:
-            continue
-        j = k // g
-        jb = j * b
-        if A == 0:
-            # Q - lo = 2*jb*n + j^2*q0 - lo is linear in n
-            const = j * j * q0 - lo
-            if jb == 0:
-                if const == 0:
-                    raise ValueError(f"every point of the level line {k} of {line} solves")
+    if hi is not None and A != 0:
+        # the roots of A*n^2 + 2*j*b*n + C are (-j*b -+ X) / A
+        for j, root in _square_levels(delta, A * lo, levels, g):
+            for num in (root - j * b, -root - j * b):
+                if num % A == 0:
+                    out.add((j * x0 + num // A * dx, j * y0 + num // A * dy))
+    else:  # null level lines, or Q >= lo
+        for k in levels:
+            if k % g:
                 continue
-            ns = [-const // (2 * jb)] if const % (2 * jb) == 0 else []
-        else:
-            # the roots of A*n^2 + 2*jb*n + C are (-jb -+ sqrt(quarter)) / A
-            quarter = delta * j * j + A * lo
-            if quarter < 0:
-                continue
-            root = isqrt(quarter)
-            if hi is None:  # Q >= lo between the roots, as A < 0
-                ns = range(-((root - jb) // -A), (jb + root) // -A + 1)
-            elif root * root == quarter:
-                ns = [num // A for num in (root - jb, -root - jb) if num % A == 0]
+            j = k // g
+            jb = j * b
+            if A == 0:
+                # Q - lo = 2*jb*n + j^2*q0 - lo is linear in n
+                const = j * j * q0 - lo
+                if jb == 0:
+                    if const == 0:
+                        raise ValueError(f"every point of the level line {k} of {line} solves")
+                    continue
+                ns = [-const // (2 * jb)] if const % (2 * jb) == 0 else []
             else:
-                continue
-        for n in ns:
-            out.add((j * x0 + n * dx, j * y0 + n * dy))
+                # Q >= lo between the roots (-jb -+ sqrt(quarter)) / A, as A < 0
+                quarter = delta * j * j + A * lo
+                if quarter < 0:
+                    continue
+                root = isqrt(quarter)
+                ns = range(-((root - jb) // -A), (jb + root) // -A + 1)
+            for n in ns:
+                out.add((j * x0 + n * dx, j * y0 + n * dy))
     out.discard((0, 0))
     return sorted(out)
+
+
+def _square_levels(delta: int, M: int, levels, g: int) -> set[tuple[int, int]]:
+    """The pairs (j, X), X >= 0, with X^2 = delta*j^2 + M and g*j in levels.
+
+    Each level is tested with isqrt, unless Pell orbits are cheaper.  Let
+    delta > 0 not be a square, M != 0 and (t, u) the least Pell unit.  Each
+    class of solutions of X^2 - delta*j^2 = M is +-(X0 + j0*sqrt(delta))
+    times the powers of t + u*sqrt(delta), with 0 <= j0 <=
+    sqrt(|M|*(t+1)/(2*delta)) (Nagell, Introduction to Number Theory,
+    Thm 108 and 108a; for M > 0 this bound is looser than his).  Walks
+    forward from the four sign choices of (X0, j0) reach the whole class up
+    to the sign of j, since conjugation turns a step back into a step
+    forward.  Every solution under the bound starts a walk, which stops at
+    the first |j| past the window: along an orbit |j| falls, then rises, so
+    a point a walk could reach after falling back into the window has |j|
+    below its start and starts a walk itself.
+    """
+    walk = M != 0 and delta > 0 and isinstance(levels, range) and sqrt_exact(delta) is None
+    if walk:
+        t, u = _pell_unit(delta)
+        bound = isqrt(abs(M) * (t + 1) // (2 * delta))
+        walk = bound < len(levels)  # never on an empty range, so levels[0] exists
+        reach = max(abs(levels[0]), abs(levels[-1])) // g if walk else 0
+    found: set[tuple[int, int]] = set()
+    for j0 in range(bound + 1) if walk else (k // g for k in levels if k % g == 0):
+        quarter = delta * j0 * j0 + M
+        if quarter < 0:
+            continue
+        root = isqrt(quarter)
+        if root * root != quarter:
+            continue
+        if not walk:
+            found.add((j0, root))
+            continue
+        for x, j in ((root, j0), (-root, j0), (root, -j0), (-root, -j0)):
+            while abs(j) <= reach:
+                if g * j in levels:
+                    found.add((j, abs(x)))
+                x, j = t * x + delta * u * j, u * x + t * j
+    return found
+
+
+@cache
+def _pell_unit(delta: int) -> tuple[int, int]:
+    """The least (t, u), u > 0, with t^2 - delta*u^2 = 1: a convergent of sqrt(delta)."""
+    a0 = isqrt(delta)
+    m, d, a = 0, 1, a0
+    t, t_prev, u, u_prev = a0, 1, 1, 0
+    while t * t - delta * u * u != 1:
+        m = d * a - m
+        d = (delta - m * m) // d
+        a = (a0 + m) // d
+        t, t_prev, u, u_prev = a * t + t_prev, t, a * u + u_prev, u
+    return t, u
 
 
 def classes_in_rank2(
@@ -169,36 +228,6 @@ def classes_in_rank2(
 def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
     """All (-2)-classes p*v + q*a with |q| <= bound (q11 > 0)."""
     return level_points(form, (0, 1), range(-bound, bound + 1), -2, -2)
-
-
-def lattice_points_in_parallelogram(
-    a: tuple[int, int], v: tuple[int, int]
-) -> list[tuple[int, int]]:
-    """Integer points of the closed parallelogram (0, a, v-a, v), vertices excluded.
-
-    Exact barycentric test: x = s*a + t*(v-a) with s, t in [0, 1].  The
-    engine decides refinability from the determinant instead; this scan is
-    the reference the tests compare it with.
-    """
-    e1 = a
-    e2 = (v[0] - a[0], v[1] - a[1])
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    if det == 0:
-        raise ValueError("a and v are linearly dependent")
-    verts = [(0, 0), a, e2, v]
-    xs = [p[0] for p in verts]
-    ys = [p[1] for p in verts]
-    out = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            s = Fraction(x * e2[1] - y * e2[0], det)
-            t = Fraction(e1[0] * y - e1[1] * x, det)
-            if 0 <= s <= 1 and 0 <= t <= 1:
-                if (s in (0, 1)) and (t in (0, 1)):
-                    continue  # vertex
-                out.append((x, y))
-    out.sort()
-    return out
 
 
 def decomposition_solutions(

@@ -14,7 +14,6 @@ from k3walls import (
     dual_isometry,
     effective_decompositions,
     enumerate_walls,
-    lattice_points_in_parallelogram,
     line_bundle_vector,
     mv,
     numerical_wall,
@@ -30,6 +29,7 @@ from k3walls.analysis import chamber_chain
 from k3walls.classify import two_part_splits
 from k3walls.intmath import coords_in_basis
 from k3walls.report import render_json, walls_document
+from oracles import lattice_points_in_parallelogram
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)

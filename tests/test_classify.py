@@ -17,8 +17,8 @@ from k3walls import (
 )
 from k3walls.classify import DIVISORIAL_HC, flop_cells, two_part_splits
 from k3walls.intmath import coords_in_basis
-from k3walls.solvers import lattice_points_in_parallelogram
 from k3walls.walls import build_wall
+from oracles import lattice_points_in_parallelogram
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)

@@ -224,6 +224,18 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     assert code == 1 and out == "" and err.startswith("error: ") and "none.cfg" in err
 
 
+def test_config_keys_are_read_only_by_the_commands_that_use_them(tmp_path, capsys):
+    # one file serves every subcommand: pairing ignores the window and format of walls
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("window = 4k\nformat = xml\n")
+    code, out, err = invoke(
+        capsys, "pairing", "--x", "1,-1,2", "--y", "1,0,-4", "--config", str(cfg_file)
+    )
+    assert (code, out, err) == (0, "2\n", "")
+    code, out, err = invoke(capsys, "path", "--v", "1,0,-4", "--b", "0", "--config", str(cfg_file))
+    assert code == 1 and out == "" and "xml" in err
+
+
 def test_parse_vector_errors():
     with pytest.raises(Exception):
         parse_vector("1,2")

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -9,15 +9,17 @@ from k3walls import (
     classes_in_rank2,
     decomposition_solutions,
     lambda_basis,
-    lattice_points_in_parallelogram,
     mv,
     pairing,
     solve_square_with_pairing,
     square,
 )
+from k3walls import solvers
 from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.solvers import gram_of, level_points, spherical_classes
-from k3walls.walls import _candidate_walls, _null_rays
+from k3walls.solvers import _pell_unit, gram_of, level_points, spherical_classes
+from k3walls.walls import _candidate_walls, _null_rays, enumerate_result
+
+from oracles import exact_level_points_by_isqrt, lattice_points_in_parallelogram
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -207,6 +209,48 @@ def test_level_points_match_box_scan(coeffs, line, levels, lo, equality):
         assert form.value(p, q) == lo if equality else form.value(p, q) >= lo
     inside = {pq for pq in got if max(abs(pq[0]), abs(pq[1])) <= BOX}
     assert inside == _brute_level_points(form, line, levels, lo, hi, BOX)
+
+
+HYPERBOLIC = st.tuples(st.integers(-12, 12), st.integers(-8, 8), st.integers(-12, 12)).filter(
+    lambda f: f[1] * f[1] - f[0] * f[2] > 0
+)
+# (first level, step, number of levels)
+PROGRESSIONS = st.tuples(st.integers(-3000, 3000), st.integers(1, 7), st.integers(200, 2000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HYPERBOLIC, LINES, PROGRESSIONS, st.integers(-12, 12).filter(bool))
+# A*lo < 0: the least member of one class sits exactly on Nagell's bound
+@example((12, 1, -7), (2, 0), (-838, 4, 419), 7)
+# A*lo > 0: along one orbit |j| runs 26, 10, 66, 254, 950, all in the window
+@example((-3, 6, -11), (-4, -1), (-1692, 2, 1727), -8)
+# A*lo > 0: a solution on the last level that only a walk reaches
+@example((-9, -1, 1), (0, 4), (-2292, 3, 1528), -6)
+@example((12, 1, -7), (2, 0), (0, 1, 0), 7)  # no levels at all
+def test_exact_level_points_match_a_per_level_scan(coeffs, line, progression, lo):
+    # on long progressions the solutions come from Pell orbits, not one isqrt per level
+    form = GramForm2(*coeffs)
+    g = gcd(*line)
+    assume(form.value(line[1] // g, -line[0] // g) != 0)
+    start, step, count = progression
+    levels = range(start, start + step * count, step)
+    want = exact_level_points_by_isqrt(form, line, levels, lo)
+    assert level_points(form, line, levels, lo, lo) == want
+
+
+def test_pell_unit_matches_sympy():
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    for D in range(2, 501):
+        if isqrt(D) ** 2 != D:
+            assert [_pell_unit(D)] == diophantine.diop_DN(D, 1)
+
+
+def test_orbits_replace_most_of_the_level_scan(monkeypatch):
+    # one isqrt per level of every family made 127 102 calls here
+    calls = []
+    monkeypatch.setattr(solvers, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    enumerate_result(K3Config(2), mv(3, 1, -7))
+    assert 0 < len(calls) < 40_000
 
 
 def test_level_points_rejects_unsupported_bounds():
