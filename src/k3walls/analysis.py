@@ -40,16 +40,17 @@ class WallRecord:
 
 @dataclass(frozen=True)
 class WallSurvey:
+    """The chamber chain: records run from the divisorial boundary wall to
+    the opposite boundary, and each flopping wall between them separates
+    two chambers.
+    """
+
     cfg: K3Config
     v: MukaiVector
     basis: NSBasis
     records: tuple[WallRecord, ...]
     window: int
     stable: bool
-
-    @property
-    def interior(self) -> tuple[WallRecord, ...]:
-        return tuple(r for r in self.records if 0 < r.index < len(self.records) - 1)
 
     @property
     def chambers(self) -> int:
@@ -77,41 +78,11 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
 
 
 @dataclass(frozen=True)
-class ChamberChain:
-    """Ordered walk through the movable cone from the divisorial boundary.
-
-    boundary_start / boundary_end are the two boundary walls; every interior
-    record is a genuine wall of the chamber decomposition.
-    """
-
-    survey: WallSurvey
-    boundary_start: WallRecord
-    interior: tuple[WallRecord, ...]
-    boundary_end: WallRecord
-
-    @property
-    def chambers(self) -> int:
-        return len(self.interior) + 1
-
-    def fiber_dims(self) -> tuple[int, ...]:
-        return tuple(r.bundle.fiber_dim for r in self.interior if r.bundle)
-
-
-def chamber_chain(cfg: K3Config, v: MukaiVector, window: int | None = None) -> ChamberChain:
-    sv = survey(cfg, v, window)
-    if len(sv.records) < 2:
-        raise ValueError("fewer than two walls: no chamber structure")
-    return ChamberChain(sv, sv.records[0], sv.records[1:-1], sv.records[-1])
-
-
-@dataclass(frozen=True)
 class PathReport:
     cfg: K3Config
     v: MukaiVector
     b0: Fraction
     crossings: tuple[PathCrossing, ...]
-    wall_indices: tuple[int, ...]  # wall index per crossing, as in survey
-    degenerate_hits: tuple[int, ...]  # crossings that sit on a hole
     window: int
     stable: bool
 
@@ -127,13 +98,7 @@ def path_report(
     enum = enumerate_result(cfg, v, window)
     classes = [wall.a for wall in enum.walls]
     crossings = path_crossings(cfg, v, classes, b0, t_min, t_max)
-    indices = tuple(cr.wall_index for cr in crossings)
-    degenerate = tuple(
-        i for i, cr in enumerate(crossings) if cr.hole_collision is not None
-    )
-    return PathReport(
-        cfg, v, Fraction(b0), tuple(crossings), indices, degenerate, enum.window, enum.stable
-    )
+    return PathReport(cfg, v, Fraction(b0), tuple(crossings), enum.window, enum.stable)
 
 
 def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, window, same) -> bool:

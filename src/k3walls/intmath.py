@@ -108,23 +108,6 @@ def mat_det3(m) -> int:
     )
 
 
-def mat_inverse_unimodular(m):
-    """Inverse of an integer matrix with determinant +-1 (adjugate / det)."""
-    d = mat_det3(m)
-    if d not in (1, -1):
-        raise ValueError(f"matrix determinant {d} is not a unit")
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [m[r][c] for c in range(3) if c != j]
-                for r in range(3) if r != i
-            ]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[j][i] = ((-1) ** (i + j)) * minor * d
-    return tuple(tuple(row) for row in cof)
-
-
 MAT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

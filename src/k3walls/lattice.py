@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmath import MAT_IDENTITY, mat_det3, mat_inverse_unimodular, mat_mul, mat_vec
+from .intmath import MAT_IDENTITY, mat_det3, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,6 @@ class Isometry:
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry(f"{self.kind}*{other.kind}", mat_mul(self.matrix, other.matrix))
 
-    def inverse(self) -> "Isometry":
-        return Isometry(f"inv({self.kind})", mat_inverse_unimodular(self.matrix))
-
     @property
     def det(self) -> int:
         return mat_det3(self.matrix)
@@ -170,13 +167,3 @@ def twist_T(cfg: K3Config) -> Isometry:
     w = line_bundle_vector(cfg, -2)
     iso = reflection_isometry(cfg, w) @ tensor_isometry(cfg, -2)
     return Isometry("twist_T", iso.matrix)
-
-
-def preserves_pairing(cfg: K3Config, iso: Isometry, probes=None) -> bool:
-    basis = [MukaiVector(1, 0, 0), MukaiVector(0, 1, 0), MukaiVector(0, 0, 1)]
-    vecs = list(probes) if probes is not None else basis
-    for i, x in enumerate(vecs):
-        for y in vecs[i:]:
-            if pairing(cfg, iso.apply(x), iso.apply(y)) != pairing(cfg, x, y):
-                return False
-    return True

@@ -105,13 +105,9 @@ def orthogonal_line_generator(
 
 
 def wall_divisor(
-    cfg: K3Config, v: MukaiVector, a, basis: NSBasis
+    cfg: K3Config, v: MukaiVector, a: MukaiVector, basis: NSBasis
 ) -> NSClass:
-    """Primitive integral positive multiple of the v-perp projection of a.
-
-    Accepts either the representative class or a wall record carrying one.
-    """
-    a = getattr(a, "a", a)
+    """Primitive integral positive multiple of the v-perp projection of a."""
     vsq = square(cfg, v)
     av = pairing(cfg, a, v)
     raw = vsq * a - av * v  # vsq * proj: positive multiple of the projection
@@ -122,13 +118,12 @@ def wall_divisor(
     return NSClass(basis.int_coords(vec), vec, square(cfg, vec))
 
 
-def divisibility(cfg: K3Config, v: MukaiVector, d_vec) -> int:
+def divisibility(cfg: K3Config, v: MukaiVector, d_vec: MukaiVector) -> int:
     """gcd of pairings of D against the orthogonal complement of v.
 
     Computed inside the full unimodular extended lattice, where it equals
     the index of Z*D + Z*v in its saturation.
     """
-    d_vec = getattr(d_vec, "vec", d_vec)
     if d_vec.is_zero:
         raise ValueError("zero divisor")
     normal = primitive_vector(cross3(d_vec.as_tuple(), v.as_tuple()))

@@ -9,7 +9,7 @@ import io
 import json
 from fractions import Fraction
 
-from .analysis import WallSurvey, path_report, survey
+from .analysis import WallSurvey, path_report
 from .intmath import frac_str, sqrt_str
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import curve_str, divisor_str
@@ -35,11 +35,6 @@ WALL_COLUMNS = [
 
 def _vec(x: MukaiVector) -> list[int]:
     return list(x.as_tuple())
-
-
-def walls_document(cfg: K3Config, v: MukaiVector, window: int | None = None) -> dict:
-    sv = survey(cfg, v, window)
-    return walls_document_from_survey(sv)
 
 
 def walls_document_from_survey(sv: WallSurvey) -> dict:
@@ -111,10 +106,10 @@ def path_document(
 ) -> dict:
     rep = path_report(cfg, v, b0, t_min, t_max, window)
     crossings = []
-    for cr, idx in zip(rep.crossings, rep.wall_indices):
+    for cr in rep.crossings:
         crossings.append(
             {
-                "wall": idx,
+                "wall": cr.wall_index,
                 "a": _vec(cr.a),
                 "t2": frac_str(cr.t2),
                 "t": sqrt_str(cr.t2),

@@ -319,6 +319,8 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
 
 
 def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
+    """The wall lattices whose line meets the movable sector, in slope order from
+    the divisorial boundary, with the cone, the window and its stability flag."""
     if vec_content(v.as_tuple()) != 1:
         raise ValueError(f"v = {v} must be primitive")
     if square(cfg, v) <= 0:
@@ -343,8 +345,3 @@ def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -
     placed = sorted((cone.position(w.ray), key) for key, w in kept.items())
     walls = tuple(replace(kept[key], ray=cone.orient(kept[key].ray)) for _, key in placed)
     return EnumerationResult(walls, cone, window, stable)
-
-
-def enumerate_walls(cfg: K3Config, v: MukaiVector, window: int | None = None) -> list[WallLattice]:
-    """Complete, duplicate-free wall lattices whose line meets the movable sector."""
-    return list(enumerate_result(cfg, v, window).walls)

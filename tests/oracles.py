@@ -1,8 +1,9 @@
-"""Reference scans the tests compare the engine with; the engine never calls them."""
+"""Reference scans and checks the tests compare the engine with; the engine never calls them."""
 from fractions import Fraction
 from math import isqrt
 
-from k3walls.intmath import xgcd
+from k3walls.intmath import mat_det3, xgcd
+from k3walls.lattice import Isometry, K3Config, MukaiVector, pairing
 
 
 def lattice_points_in_parallelogram(
@@ -61,3 +62,33 @@ def exact_level_points_by_isqrt(form, line, levels, lo):
                 out.add((j * x0 + num // A * dx, j * y0 + num // A * dy))
     out.discard((0, 0))
     return sorted(out)
+
+
+def mat_inverse_unimodular(m):
+    """Inverse of an integer matrix with determinant +-1 (adjugate / det)."""
+    d = mat_det3(m)
+    if d not in (1, -1):
+        raise ValueError(f"matrix determinant {d} is not a unit")
+    cof = [[0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            sub = [
+                [m[r][c] for c in range(3) if c != j]
+                for r in range(3) if r != i
+            ]
+            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+            cof[j][i] = ((-1) ** (i + j)) * minor * d
+    return tuple(tuple(row) for row in cof)
+
+
+def isometry_inverse(iso: Isometry) -> Isometry:
+    return Isometry(f"inv({iso.kind})", mat_inverse_unimodular(iso.matrix))
+
+
+def preserves_pairing(cfg: K3Config, iso: Isometry) -> bool:
+    basis = [MukaiVector(1, 0, 0), MukaiVector(0, 1, 0), MukaiVector(0, 0, 1)]
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            if pairing(cfg, iso.apply(x), iso.apply(y)) != pairing(cfg, x, y):
+                return False
+    return True

@@ -9,26 +9,26 @@ from fractions import Fraction
 
 from k3walls import (
     K3Config,
-    bundle_descriptor,
     classify,
-    dual_isometry,
     effective_decompositions,
-    enumerate_walls,
-    line_bundle_vector,
+    enumerate_result,
     mv,
-    numerical_wall,
+    survey,
+    two_part_splits,
+)
+from k3walls.classify import bundle_descriptor
+from k3walls.intmath import coords_in_basis
+from k3walls.lattice import (
+    dual_isometry,
+    line_bundle_vector,
     pairing,
-    path_crossings,
     reflect_spherical,
     reflection_isometry,
-    square,
     tensor_isometry,
     twist_T,
 )
-from k3walls.analysis import chamber_chain
-from k3walls.classify import two_part_splits
-from k3walls.intmath import coords_in_basis
-from k3walls.report import render_json, walls_document
+from k3walls.report import render_json, walls_document_from_survey
+from k3walls.stability import numerical_wall, path_crossings
 from oracles import lattice_points_in_parallelogram
 
 CFG = K3Config(2)
@@ -63,7 +63,7 @@ def _sign_matched(got, want):
 
 @criterion(1, "Hilbert-side wall table reproduced column for column")
 def test_criterion_1_hilbert_side_table():
-    doc = walls_document(CFG, VP)
+    doc = walls_document_from_survey(survey(CFG, VP))
     walls = doc["walls"]
     assert len(walls) == 6
     expected_a = [(0, 0, 1), (1, -1, 2), (1, -1, 1), (-1, 2, -5), (2, -3, 5), (-1, 2, -4)]
@@ -89,7 +89,7 @@ def test_criterion_1_hilbert_side_table():
 
 @criterion(2, "fibration-side wall table and fiber dimensions in path order")
 def test_criterion_2_fibration_side_table():
-    doc = walls_document(CFG, VM)
+    doc = walls_document_from_survey(survey(CFG, VM))
     walls = doc["walls"]
     assert len(walls) == 6
     expected_a = [(-1, 0, 0), (-2, 1, -1), (-1, 1, -1), (1, 0, 1), (-1, 1, -2), (0, 0, 1)]
@@ -120,14 +120,14 @@ def test_criterion_3_twist():
 
 @criterion(4, "five birational models, four flops, no total semistability inside")
 def test_criterion_4_five_models():
-    chain = chamber_chain(CFG, VP)
-    assert chain.chambers == 5
-    assert len(chain.interior) == 4
-    for rec in chain.interior:
+    sv = survey(CFG, VP)
+    assert sv.chambers == 5
+    assert len(sv.records[1:-1]) == 4
+    for rec in sv.records[1:-1]:
         assert rec.verdict.kind == "flopping"
         assert not rec.verdict.totally_semistable
-    assert chain.boundary_start.verdict.kind == "divisorial"
-    assert chain.boundary_end.verdict.kind == "lagrangian"
+    assert sv.records[0].verdict.kind == "divisorial"
+    assert sv.records[-1].verdict.kind == "lagrangian"
 
 
 @criterion(5, "exceptional-locus bundle data on every interior wall")
@@ -139,7 +139,7 @@ def test_criterion_5_bundles():
         (4, {0, 2}, 6, 4),
     ]
     for v in (VP, VM):
-        walls = enumerate_walls(CFG, v)
+        walls = enumerate_result(CFG, v).walls
         for wall, (fiber, bases, total, codim) in zip(walls[1:5], expected):
             a, b, _ = splits(wall)[0]
             desc = bundle_descriptor(CFG, v, a)
@@ -151,7 +151,7 @@ def test_criterion_5_bundles():
 
 @criterion(6, "stability-path crossings with exact parameters and hole flag")
 def test_criterion_6_paths():
-    walls_vp = [w.a for w in enumerate_walls(CFG, VP)]
+    walls_vp = [w.a for w in enumerate_result(CFG, VP).walls]
     crossings = path_crossings(CFG, VP, walls_vp, -2)
     by_wall = {cr.wall_index: cr for cr in crossings}
     assert by_wall[1].t2 == Fraction(4)
@@ -161,7 +161,7 @@ def test_criterion_6_paths():
     assert by_wall[3].hole_collision == mv(1, -2, 5)
     assert all(cr.hole_collision is None for i, cr in by_wall.items() if i != 3)
 
-    walls_vm = [w.a for w in enumerate_walls(CFG, VM)]
+    walls_vm = [w.a for w in enumerate_result(CFG, VM).walls]
     narrowed = path_crossings(CFG, VM, walls_vm, 0, t_min=1)
     assert [(cr.wall_index, cr.t2) for cr in narrowed] == [(4, Fraction(3, 2))]
 
@@ -169,7 +169,7 @@ def test_criterion_6_paths():
 @criterion(7, "no interior decomposition admits a lattice refinement")
 def test_criterion_7_no_refinement():
     for v in (VP, VM):
-        for wall in enumerate_walls(CFG, v)[1:5]:
+        for wall in enumerate_result(CFG, v).walls[1:5]:
             for a, b, dec in splits(wall):
                 # vertex coordinates of (0, a, v-a, v) in the lattice basis (v, wall.a)
                 p, q = coords_in_basis(v.as_tuple(), wall.a.as_tuple(), a.as_tuple())
@@ -184,7 +184,7 @@ def test_criterion_8_oracle():
     for v in (VP, VM, mv(1, 0, -1), mv(0, 1, -1)):
         brute, enumerated = _brute_mov_rays(v)
         assert brute <= enumerated, (v, brute - enumerated)
-    small = enumerate_walls(CFG, mv(1, 0, -1))
+    small = enumerate_result(CFG, mv(1, 0, -1)).walls
     assert len(small) == 3
     assert classify(CFG, small[1]).kind == "flopping"
 
@@ -210,12 +210,12 @@ def test_criterion_9_invariants():
         assert reflect_spherical(CFG, w, reflect_spherical(CFG, w, x)) == x
 
     for v, b0 in ((VP, Fraction(-2)), (VM, Fraction(0)), (VM, Fraction(-1, 3))):
-        classes = [wl.a for wl in enumerate_walls(CFG, v)]
+        classes = [wl.a for wl in enumerate_result(CFG, v).walls]
         for cr in path_crossings(CFG, v, classes, b0):
             assert numerical_wall(CFG, v, cr.a).cross_value(b0, cr.t2) == 0
 
     for v in (VP, VM, mv(1, 0, -1)):
-        doc = walls_document(CFG, v)
+        doc = walls_document_from_survey(survey(CFG, v))
         for row in doc["walls"]:
             qr = Fraction(row["qR"])
             assert qr * row["div"] ** 2 == row["qD"]

@@ -6,17 +6,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import (
     K3Config,
-    bundle_descriptor,
     classify,
     effective_decompositions,
-    enumerate_walls,
+    enumerate_result,
+    flop_cells,
     mv,
-    pairing,
-    square,
     survey,
+    two_part_splits,
 )
-from k3walls.classify import DIVISORIAL_HC, flop_cells, two_part_splits
+from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
 from k3walls.intmath import coords_in_basis
+from k3walls.lattice import pairing, square
 from k3walls.walls import build_wall
 from oracles import lattice_points_in_parallelogram
 
@@ -26,7 +26,7 @@ VM = mv(0, 2, -1)
 
 
 def walls_for(v):
-    return enumerate_walls(CFG, v)
+    return enumerate_result(CFG, v).walls
 
 
 def decompositions(wall):
@@ -232,7 +232,7 @@ def test_flop_cell_found_despite_thin_generic_arc():
     # both-effective arcs of this wall are thin slivers between accumulating
     # spherical holes; the plane flop must still be located exactly
     v = mv(-3, -2, -1)
-    wall = enumerate_walls(CFG, v)[1]
+    wall = enumerate_result(CFG, v).walls[1]
     verdict = classify(CFG, wall)
     assert verdict.kind == "flopping" and not verdict.totally_semistable
     cells = flop_cells(CFG, effective_decompositions(CFG, wall, verdict))

@@ -3,14 +3,14 @@ import pathlib
 
 import pytest
 
-from k3walls import K3Config, mv
+from k3walls import K3Config, mv, survey
 from k3walls.cli import main, parse_vector, run
 from k3walls.report import (
     path_document,
     render_json,
     render_path_csv,
     render_walls_csv,
-    walls_document,
+    walls_document_from_survey,
 )
 
 CFG = K3Config(2)
@@ -58,7 +58,7 @@ def test_bad_genus_is_usage_error(capsys):
 
 
 def test_json_round_trip():
-    doc = walls_document(CFG, mv(1, 0, -4))
+    doc = walls_document_from_survey(survey(CFG, mv(1, 0, -4)))
     assert json.loads(render_json(doc)) == doc
     pdoc = path_document(CFG, mv(1, 0, -4), -2)
     assert json.loads(render_json(pdoc)) == pdoc
@@ -78,7 +78,7 @@ def test_json_schema_fields(capsys):
 
 
 def test_csv_outputs():
-    doc = walls_document(CFG, mv(1, 0, -4))
+    doc = walls_document_from_survey(survey(CFG, mv(1, 0, -4)))
     text = render_walls_csv(doc)
     lines = text.strip().split("\n")
     assert lines[0].startswith("i,a,a2,av,kind,tss,D,qD,div,R,qR,r,locus")

@@ -3,20 +3,20 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from k3walls import (
+from k3walls import K3Config, mv
+from k3walls import solvers
+from k3walls.lattice import pairing, square
+from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
+from k3walls.solvers import (
     GramForm2,
-    K3Config,
+    _pell_unit,
     classes_in_rank2,
     decomposition_solutions,
-    lambda_basis,
-    mv,
-    pairing,
+    gram_of,
+    level_points,
     solve_square_with_pairing,
-    square,
+    spherical_classes,
 )
-from k3walls import solvers
-from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.solvers import _pell_unit, gram_of, level_points, spherical_classes
 from k3walls.walls import _candidate_walls, _null_rays, enumerate_result
 
 from oracles import exact_level_points_by_isqrt, lattice_points_in_parallelogram

@@ -3,18 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from k3walls import (
-    K3Config,
+from k3walls import K3Config, classify, mv
+from k3walls.solvers import gram_of
+from k3walls.stability import (
     central_charge,
-    classify,
+    hole_point,
     holes,
-    mv,
     numerical_wall,
     path_crossings,
-    square,
+    spherical_members,
 )
-from k3walls.solvers import gram_of
-from k3walls.stability import hole_point, spherical_members
 from k3walls.walls import build_wall
 
 CFG = K3Config(2)

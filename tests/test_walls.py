@@ -3,16 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from k3walls import (
-    K3Config,
-    enumerate_result,
-    enumerate_walls,
-    mv,
-    pairing,
-    square,
-)
+from k3walls import K3Config, enumerate_result, mv
 from k3walls import walls as walls_mod
 from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector
+from k3walls.lattice import pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
 from k3walls.walls import MovableCone, _candidate_walls, _ray_coords, build_wall, default_window
 
@@ -51,15 +45,15 @@ def test_normalize_saturates():
 
 
 def test_enumerate_counts():
-    assert len(enumerate_walls(CFG, VP)) == 6
-    assert len(enumerate_walls(CFG, VM)) == 6
-    assert len(enumerate_walls(CFG, mv(1, 0, -1))) == 3
-    assert len(enumerate_walls(CFG, mv(0, 1, -1))) == 3
+    assert len(enumerate_result(CFG, VP).walls) == 6
+    assert len(enumerate_result(CFG, VM).walls) == 6
+    assert len(enumerate_result(CFG, mv(1, 0, -1)).walls) == 3
+    assert len(enumerate_result(CFG, mv(0, 1, -1)).walls) == 3
 
 
 def test_enumerate_matches_tables():
     for v, table in ((VP, VP_TABLE), (VM, VM_TABLE)):
-        walls = enumerate_walls(CFG, v)
+        walls = enumerate_result(CFG, v).walls
         assert len(walls) == len(table)
         for wall, expected in zip(walls, table):
             assert same_up_to_sign(wall.a, expected), (v, expected, wall.a)
@@ -67,11 +61,11 @@ def test_enumerate_matches_tables():
 
 def test_enumerate_rejects_bad_input():
     with pytest.raises(ValueError):
-        enumerate_walls(CFG, mv(0, 0, 0))
+        enumerate_result(CFG, mv(0, 0, 0))
     with pytest.raises(ValueError):
-        enumerate_walls(CFG, mv(2, 0, -8))  # not primitive
+        enumerate_result(CFG, mv(2, 0, -8))  # not primitive
     with pytest.raises(ValueError):
-        enumerate_walls(CFG, mv(1, 0, 1))  # negative square
+        enumerate_result(CFG, mv(1, 0, 1))  # negative square
 
 
 def test_enumerate_window_stable():
@@ -81,7 +75,7 @@ def test_enumerate_window_stable():
 
 def test_walls_pairwise_non_proportional():
     for v in (VP, VM, mv(1, 0, -1)):
-        walls = enumerate_walls(CFG, v)
+        walls = enumerate_result(CFG, v).walls
         lines = [w.line.as_tuple() for w in walls]
         assert len(set(lines)) == len(lines)
         for i, l1 in enumerate(lines):
@@ -91,7 +85,7 @@ def test_walls_pairwise_non_proportional():
 
 def test_wall_lattice_invariants():
     for v in (VP, VM):
-        for wall in enumerate_walls(CFG, v):
+        for wall in enumerate_result(CFG, v).walls:
             g = wall.gram
             assert g.disc <= 0
             assert (g.disc == 0) == wall.degenerate
@@ -104,7 +98,7 @@ def test_wall_lattice_invariants():
 
 def test_boundary_walls_are_divisorial_and_isotropic():
     for v in (VP, VM, mv(1, 0, -1), mv(0, 1, -1)):
-        walls = enumerate_walls(CFG, v)
+        walls = enumerate_result(CFG, v).walls
         first, last = walls[0], walls[-1]
         assert not first.degenerate
         assert last.degenerate
@@ -187,7 +181,7 @@ def test_box_scan_finds_no_missing_wall(v):
 
 
 def test_sanity_one_interior_flop_for_small_hilbert():
-    walls = enumerate_walls(CFG, mv(1, 0, -1))
+    walls = enumerate_result(CFG, mv(1, 0, -1)).walls
     assert len(walls) == 3
     interior = walls[1]
     assert square(CFG, interior.a) == -2
@@ -225,7 +219,7 @@ def test_isotropic_walls_come_from_every_null_ray():
     lines = {w.line.as_tuple() for _, w in cands.values() if w.degenerate}
     assert lines == {(2, 1, 2), (50, 35, 98)}
     # (50, 35, 98) lies outside the movable sector
-    assert [w.line.as_tuple() for w in enumerate_walls(cfg, v)] == [(24, 17, 48), (2, 1, 2)]
+    assert [w.line.as_tuple() for w in enumerate_result(cfg, v).walls] == [(24, 17, 48), (2, 1, 2)]
 
 
 def test_end_ray_sorts_after_every_interior_ray():
