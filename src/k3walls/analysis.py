@@ -1,10 +1,9 @@
 """Assembled wall surveys: enumeration + classification + NS data per wall,
-the chamber chain of the movable cone, and stability-path crossing reports.
+the chamber chain of the movable cone, and its transport under isometries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import (
     BundleDescriptor,
@@ -17,7 +16,6 @@ from .classify import (
 )
 from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
-from .stability import PathCrossing, path_crossings
 from .walls import WallLattice, enumerate_result
 
 
@@ -77,34 +75,10 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
     return WallSurvey(cfg, v, basis, tuple(records), enum.window, enum.stable)
 
 
-@dataclass(frozen=True)
-class PathReport:
-    cfg: K3Config
-    v: MukaiVector
-    b0: Fraction
-    crossings: tuple[PathCrossing, ...]
-    window: int
-    stable: bool
-
-
-def path_report(
-    cfg: K3Config,
-    v: MukaiVector,
-    b0,
-    t_min=0,
-    t_max=None,
-    window: int | None = None,
-) -> PathReport:
-    enum = enumerate_result(cfg, v, window)
-    classes = [wall.a for wall in enum.walls]
-    crossings = path_crossings(cfg, v, classes, b0, t_min, t_max)
-    return PathReport(cfg, v, Fraction(b0), tuple(crossings), enum.window, enum.stable)
-
-
-def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, window, same) -> bool:
+def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, same) -> bool:
     """Equal wall counts for v and iso(v), and same(r1, r2) on every pair."""
-    sv1 = survey(cfg, v, window)
-    sv2 = survey(cfg, iso.apply(v), window)
+    sv1 = survey(cfg, v)
+    sv2 = survey(cfg, iso.apply(v))
     return len(sv1.records) == len(sv2.records) and all(
         same(r1, r2) for r1, r2 in zip(sv1.records, sv2.records)
     )
@@ -114,9 +88,7 @@ def _fiber_dim(rec: WallRecord) -> int | None:
     return rec.bundle.fiber_dim if rec.bundle else None
 
 
-def transport_check(
-    cfg: K3Config, v: MukaiVector, iso, window: int | None = None
-) -> bool:
+def transport_check(cfg: K3Config, v: MukaiVector, iso) -> bool:
     """Wall-for-wall agreement of the chains for v and iso(v).
 
     Holds on the nose for isometries that preserve the ample side (line
@@ -133,12 +105,10 @@ def transport_check(
             and _fiber_dim(r1) == _fiber_dim(r2)
         )
 
-    return _surveys_agree(cfg, v, iso, window, same)
+    return _surveys_agree(cfg, v, iso, same)
 
 
-def chain_structure_check(
-    cfg: K3Config, v: MukaiVector, iso, window: int | None = None
-) -> bool:
+def chain_structure_check(cfg: K3Config, v: MukaiVector, iso) -> bool:
     """Agreement of wall counts, verdicts and fiber dimensions for v, iso(v)."""
 
     def same(r1: WallRecord, r2: WallRecord) -> bool:
@@ -147,4 +117,4 @@ def chain_structure_check(
             == (r2.verdict.kind, r2.verdict.subtype, _fiber_dim(r2))
         )
 
-    return _surveys_agree(cfg, v, iso, window, same)
+    return _surveys_agree(cfg, v, iso, same)

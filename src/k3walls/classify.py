@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import K3Config, MukaiVector, pairing, square
-from .solvers import decomposition_solutions, level_points
+from .solvers import decomposition_solutions
 from .stability import AlignmentFunctional, alignment_candidates, spherical_members
-from .walls import WallLattice, divisorial_classes
+from .walls import WallLattice
 
 DIVISORIAL_BN = "brill_noether"
 DIVISORIAL_HC = "hilbert_chow"
@@ -33,7 +33,9 @@ class WallVerdict:
 
     func is the phase functional at the point of the generic arc
     (_select_arc), None on degenerate walls or when no arc is sampled;
-    spherical holds the wall's spherical classes (spherical_members).
+    spherical holds the wall's spherical classes (spherical_members), and
+    split_classes its classes u with u^2 >= -2 and 0 < (u, v) <= v^2/2
+    (decomposition_solutions, in its order).
     """
 
     kind: str  # "divisorial" | "flopping" | "fake" | "lagrangian"
@@ -44,6 +46,7 @@ class WallVerdict:
     proxy_flag: bool = False  # semistability verdict relied on the phase proxy
     arc_sensitive: bool = False  # other arcs of the wall disagree on (b')
     spherical: tuple[MukaiVector, ...] = field(default=(), compare=False)
+    split_classes: tuple[MukaiVector, ...] = field(default=(), compare=False)
 
     @property
     def is_flopping(self) -> bool:
@@ -130,14 +133,14 @@ def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
 
 
 def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
-    """The verdict on one wall, carrying its phase functional and spherical classes."""
+    """The verdict on one wall, carrying its phase functional and its classes."""
     if wall.degenerate:
         cert = Certificate(wall.a, "isotropic_fibration")
         return WallVerdict("lagrangian", None, False, (cert,), None)
 
     certs: list[Certificate] = []
 
-    bn, hc, lgu = divisorial_classes(wall)
+    bn, hc, lgu = wall.divisorial
     for pq in bn:
         certs.append(Certificate(wall.member(*pq), "spherical_orthogonal"))
     for pq in hc:
@@ -147,6 +150,13 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
 
     spherical = tuple(spherical_members(cfg, wall.v, wall.a))
     func, trigger, arc_sensitive = _select_arc(cfg, wall, spherical)
+    # solutions are (x, y) with u = x*a + y*v
+    solutions = decomposition_solutions(cfg, wall.v, wall.a)
+    split_classes = tuple(wall.member(y, x) for x, y in solutions)
+    flop_sphericals = sorted(
+        (s for s in split_classes if square(cfg, s) == -2),
+        key=lambda s: (pairing(cfg, s, wall.v), s.as_tuple()),
+    )
 
     if hc:
         tss, proxy = True, False
@@ -161,35 +171,25 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
     if hc or lgu or bn:
         kind = "divisorial"
         subtype = DIVISORIAL_HC if hc else (DIVISORIAL_LGU if lgu else DIVISORIAL_BN)
-    elif flop_sphericals := _flop_sphericals(cfg, wall):
+    elif flop_sphericals:
         kind, subtype = "flopping", "spherical"
         certs += [Certificate(s, "spherical_flop") for s in flop_sphericals]
-    elif positive_pairs := _positive_two_term(cfg, wall):
+    elif positive_pairs := _positive_two_term(cfg, wall.v, split_classes):
         kind, subtype = "flopping", "positive_sum"
         certs += [Certificate(c, "positive_part") for pair in positive_pairs for c in pair]
-    return WallVerdict(kind, subtype, tss, tuple(certs), func, proxy, arc_sensitive, spherical)
-
-
-def _flop_sphericals(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
-    """The spherical classes s of the wall with 0 < (s, v) <= v^2/2, by pairing."""
-    gram = wall.gram
-    pts = level_points(gram, (gram.q11, gram.q12), range(1, gram.q11 // 2 + 1), -2, -2)
-    return sorted(
-        (wall.member(*pq) for pq in pts), key=lambda s: (pairing(cfg, s, wall.v), s.as_tuple())
+    return WallVerdict(
+        kind, subtype, tss, tuple(certs), func, proxy, arc_sensitive, spherical, split_classes
     )
 
 
-def _positive_two_term(cfg: K3Config, wall: WallLattice):
+def _positive_two_term(cfg: K3Config, v: MukaiVector, split_classes):
     """Unordered splittings v = a + b with both parts of nonnegative square.
 
-    a runs over the window classes of decomposition_solutions, so
-    0 < (a, v) <= v^2/2 <= (b, v); a pair with (a, v) = (b, v) is listed
-    once, in the order found first.
+    a runs over the wall's split classes, so 0 < (a, v) <= v^2/2 <= (b, v);
+    a pair with (a, v) = (b, v) is listed once, in the order found first.
     """
-    v = wall.v
     out = {}
-    for x, y in decomposition_solutions(cfg, v, wall.a):
-        a = wall.member(y, x)  # solutions are (x, y) with a = x*a_i + y*v
+    for a in split_classes:
         b = v - a
         if square(cfg, a) >= 0 and square(cfg, b) >= 0:
             out.setdefault(frozenset((a.as_tuple(), b.as_tuple())), (a, b))
@@ -217,9 +217,9 @@ def effective_decompositions(
 
     verdict is classify(cfg, wall): phases are taken at verdict.func, and
     the search compares its integer numerators over its fixed denominator;
-    the spherical atoms are verdict.spherical.  Each multiset of parts is
-    generated once: the parts come in atom order and the closing
-    complement is never an atom of lower index than the last.
+    the atoms come from verdict.split_classes and verdict.spherical.  Each
+    multiset of parts is generated once: the parts come in atom order and
+    the closing complement is never an atom of lower index than the last.
     """
     func = verdict.func
     if func is None:
@@ -227,7 +227,7 @@ def effective_decompositions(
     v = wall.v
     gram = wall.gram
     den = func.den
-    atoms = _effective_atoms(cfg, wall, func, verdict.spherical)
+    atoms = _effective_atoms(func, verdict.split_classes, verdict.spherical)
     index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
     results: list[Decomposition] = []
 
@@ -273,15 +273,13 @@ def effective_decompositions(
     return results
 
 
-def _effective_atoms(cfg, wall: WallLattice, func: AlignmentFunctional, spherical):
+def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
     """(class, phase numerator) pairs usable as split parts, phases in (0, 1).
 
-    The window classes of decomposition_solutions (square >= -2, positive
-    pairing) are all admissible, and so is every spherical class of either
-    sign; the phase decides.
+    The split classes (square >= -2, positive pairing) are all admissible,
+    and so is every spherical class of either sign; the phase decides.
     """
-    classes = [wall.member(y, x) for x, y in decomposition_solutions(cfg, wall.v, wall.a)]
-    classes += [c for s in spherical for c in (s, -s)]
+    classes = [*split_classes, *(c for s in spherical for c in (s, -s))]
     atoms = {}
     for u in classes:
         num = func.numerator(u)

@@ -142,18 +142,23 @@ def hnf_two_rows(rows) -> list[tuple[int, int, int]]:
     return [tuple(b1), tuple(b2)]
 
 
+def unit_section(n: tuple[int, int, int]) -> tuple[int, int, int] | None:
+    """An integer u with n . u = 1, or None when n is not primitive."""
+    n1, n2, n3 = n
+    x1, x2, g12 = xgcd(n1, n2)
+    y, z, g = xgcd(g12, n3)
+    return (x1 * y, x2 * y, z) if g == 1 else None
+
+
 def kernel_basis_int(n: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """Basis of the saturated rank-two lattice {x in Z^3 : n . x = 0}.
 
     Requires n primitive; uses the section u with n . u = 1 and the
     projection x -> x - (n . x) u, which maps Z^3 onto the kernel.
     """
-    n1, n2, n3 = n
-    x1, x2, g12 = xgcd(n1, n2)
-    y, z, g = xgcd(g12, n3)
-    if g != 1:
+    u = unit_section(n)
+    if u is None:
         raise ValueError("normal vector must be primitive")
-    u = (x1 * y, x2 * y, z)
     rows = []
     for i in range(3):
         e = [0, 0, 0]

@@ -122,17 +122,15 @@ def divisibility(cfg: K3Config, v: MukaiVector, d_vec: MukaiVector) -> int:
     """gcd of pairings of D against the orthogonal complement of v.
 
     Computed inside the full unimodular extended lattice, where it equals
-    the index of Z*D + Z*v in its saturation.
+    the index of Z*D + Z*v in its saturation: the content of D x v, since
+    the cross product of a basis of the saturation is primitive.
     """
     if d_vec.is_zero:
         raise ValueError("zero divisor")
-    normal = primitive_vector(cross3(d_vec.as_tuple(), v.as_tuple()))
-    b1, b2 = kernel_basis_int(normal)
-    c1 = coords_in_basis(b1, b2, d_vec.as_tuple())
-    c2 = coords_in_basis(b1, b2, v.as_tuple())
-    det = c1[0] * c2[1] - c1[1] * c2[0]
-    assert det.denominator == 1 and det != 0
-    return abs(int(det))
+    index = vec_content(cross3(d_vec.as_tuple(), v.as_tuple()))
+    if index == 0:
+        raise ValueError("D is proportional to v")
+    return index
 
 
 def curve_class(cfg: K3Config, v: MukaiVector, divisor: NSClass) -> CurveClass:

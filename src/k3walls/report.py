@@ -9,10 +9,12 @@ import io
 import json
 from fractions import Fraction
 
-from .analysis import WallSurvey, path_report
+from .analysis import WallSurvey
 from .intmath import frac_str, sqrt_str
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import curve_str, divisor_str
+from .stability import path_crossings
+from .walls import enumerate_result
 
 SCHEMA_VERSION = 1
 
@@ -104,9 +106,9 @@ def path_document(
     t_max=None,
     window: int | None = None,
 ) -> dict:
-    rep = path_report(cfg, v, b0, t_min, t_max, window)
+    enum = enumerate_result(cfg, v, window)
     crossings = []
-    for cr in rep.crossings:
+    for cr in path_crossings(cfg, v, [wall.a for wall in enum.walls], b0, t_min, t_max):
         crossings.append(
             {
                 "wall": cr.wall_index,
@@ -128,8 +130,8 @@ def path_document(
         "b": frac_str(Fraction(b0)),
         "t_min": frac_str(Fraction(t_min)),
         "t_max": frac_str(Fraction(t_max)) if t_max is not None else None,
-        "window": rep.window,
-        "window_stable": rep.stable,
+        "window": enum.window,
+        "window_stable": enum.stable,
         "crossings": crossings,
         "chambers_crossed": len(effective) + 1,
         "segments": segments,

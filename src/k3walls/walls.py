@@ -24,12 +24,11 @@ from .intmath import (
     coords_in_basis,
     cross3,
     det2,
-    kernel_basis_int,
     lex_sign,
     primitive_vector,
     sqrt_exact,
+    unit_section,
     vec_content,
-    xgcd,
 )
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
@@ -46,6 +45,11 @@ class WallLattice:
     For the degenerate boundary lattice (discriminant zero) the normalized
     representative is the primitive isotropic class spanning the radical,
     which together with v need not generate the whole lattice.
+
+    divisorial holds the (x^2, (x, v)) = (-2, 0), (0, 1), (0, 2) classes,
+    its Brill-Noether, Hilbert-Chow and Li-Gieseker-Uhlenbeck classes, as
+    (p, q) coordinates in the basis (v, a); the wall is divisorial exactly
+    when one of the three is non-empty.  A degenerate lattice has none.
     """
 
     v: MukaiVector
@@ -55,32 +59,11 @@ class WallLattice:
     line: MukaiVector  # primitive generator of the orthogonal line
     degenerate: bool
     square_normalized: bool  # a^2 landed in {-2, 0}
+    divisorial: tuple[tuple[tuple[int, int], ...], ...]  # (bn, hc, lgu)
     ray: tuple[int, int] | None = None  # NS coords of the line, set by enumerate_result
 
     def member(self, p: int, q: int) -> MukaiVector:
         return p * self.v + q * self.a
-
-
-def saturated_basis(v: MukaiVector, a: MukaiVector):
-    """Basis of the saturation of Zv + Za inside the ambient rank-three lattice."""
-    normal = cross3(v.as_tuple(), a.as_tuple())
-    if not any(normal):
-        raise ValueError("v and a are proportional")
-    b1, b2 = kernel_basis_int(primitive_vector(normal))
-    return MukaiVector(*b1), MukaiVector(*b2)
-
-
-def complete_basis(v: MukaiVector, b1: MukaiVector, b2: MukaiVector) -> MukaiVector:
-    """u with (v, u) a basis of the lattice spanned by (b1, b2)."""
-    co = coords_in_basis(b1.as_tuple(), b2.as_tuple(), v.as_tuple())
-    if co is None or co[0].denominator != 1 or co[1].denominator != 1:
-        raise ValueError("v does not lie in the lattice")
-    m1, m2 = int(co[0]), int(co[1])
-    x, y, g = xgcd(m1, m2)
-    if g != 1:
-        raise ValueError("v is not primitive in the lattice")
-    # det((m1, m2), (-y, x)) = m1*x + m2*y = 1
-    return -y * b1 + x * b2
 
 
 def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
@@ -111,11 +94,22 @@ def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
 
 
 def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattice:
-    """Saturate, normalize and package the lattice spanned by v and a_seed."""
+    """Saturate, normalize and package the lattice spanned by v and a_seed.
+
+    With n the primitive normal of the plane and v . w = 1, the class
+    u = n x w has v x u = (v . w) n - (v . n) w = n, so (v, u) is a basis of
+    the saturation.
+    """
     vsq = square(cfg, v)
     if vsq <= 0:
         raise ValueError(f"v^2 = {vsq} is not positive")
-    u = complete_basis(v, *saturated_basis(v, a_seed))
+    normal = cross3(v.as_tuple(), a_seed.as_tuple())
+    if not any(normal):
+        raise ValueError("v and a are proportional")
+    w = unit_section(v.as_tuple())
+    if w is None:
+        raise ValueError("v is not primitive in the lattice")
+    u = MukaiVector(*cross3(primitive_vector(normal), w))
     vu = pairing(cfg, v, u)
     disc = vsq * square(cfg, u) - vu * vu
     if disc > 0:
@@ -131,20 +125,10 @@ def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattic
         degenerate = False
     gram = GramForm2(vsq, pairing(cfg, v, a), square(cfg, a))
     line = orthogonal_line_generator(cfg, v, a)
-    return WallLattice(v, a, u, gram, line, degenerate, norm_ok)
-
-
-def divisorial_classes(wall: WallLattice):
-    """The (x^2, (x, v)) = (-2, 0), (0, 1), (0, 2) classes of a wall lattice.
-
-    These are its Brill-Noether, Hilbert-Chow and Li-Gieseker-Uhlenbeck
-    classes, as (p, q) coordinates in the basis (v, a); the wall is
-    divisorial exactly when one of the three lists is non-empty.  A
-    degenerate lattice has none.
-    """
-    if wall.degenerate:
-        return [], [], []
-    return tuple(classes_in_rank2(wall.gram, d, k) for d, k in ((-2, 0), (0, 1), (0, 2)))
+    divisorial = ((), (), ()) if degenerate else tuple(
+        tuple(classes_in_rank2(gram, d, k)) for d, k in ((-2, 0), (0, 1), (0, 2))
+    )
+    return WallLattice(v, a, u, gram, line, degenerate, norm_ok, divisorial)
 
 
 class SectorError(ValueError):
@@ -257,7 +241,7 @@ def movable_cone(
     # one bounds a side only when that side has no divisorial ray
     rays = []
     for w in candidates:
-        bn, hc, lgu = divisorial_classes(w)
+        bn, hc, lgu = w.divisorial
         if bn or hc or lgu:
             rays.append((cone.slope(w.ray), cone.orient(w.ray), "divisorial", bool(hc)))
     if any(r[0] == 0 for r in rays):

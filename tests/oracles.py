@@ -1,9 +1,20 @@
 """Reference scans and checks the tests compare the engine with; the engine never calls them."""
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from k3walls.intmath import mat_det3, xgcd
-from k3walls.lattice import Isometry, K3Config, MukaiVector, pairing
+from k3walls.intmath import (
+    coords_in_basis,
+    cross3,
+    kernel_basis_int,
+    lex_sign,
+    mat_det3,
+    primitive_vector,
+    xgcd,
+)
+from k3walls.lattice import Isometry, K3Config, MukaiVector, pairing, square
+from k3walls.nsgeom import orthogonal_line_generator
+from k3walls.solvers import GramForm2
+from k3walls.walls import _normalize_in_basis
 
 
 def lattice_points_in_parallelogram(
@@ -92,3 +103,56 @@ def preserves_pairing(cfg: K3Config, iso: Isometry) -> bool:
             if pairing(cfg, iso.apply(x), iso.apply(y)) != pairing(cfg, x, y):
                 return False
     return True
+
+
+def _kernel_of_cross(x: MukaiVector, y: MukaiVector):
+    """A basis of the saturation of Zx + Zy: the kernel of their primitive normal."""
+    normal = cross3(x.as_tuple(), y.as_tuple())
+    if not any(normal):
+        raise ValueError("v and a are proportional")
+    return kernel_basis_int(primitive_vector(normal))
+
+
+def wall_by_coordinates(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector):
+    """(a, gram, line, degenerate, square_normalized, u) of the wall of <v, a_seed>.
+
+    The saturation is a kernel basis (b1, b2) of the normal of the plane,
+    and u completes v by xgcd on the coordinates of v in that basis; the
+    engine's build_wall saturates by cross products instead.  Raises the
+    ValueError that build_wall raises.
+    """
+    vsq = square(cfg, v)
+    if vsq <= 0:
+        raise ValueError(f"v^2 = {vsq} is not positive")
+    b1, b2 = _kernel_of_cross(v, a_seed)
+    co = coords_in_basis(b1, b2, v.as_tuple())
+    if co is None or co[0].denominator != 1 or co[1].denominator != 1:
+        raise ValueError("v does not lie in the lattice")
+    x, y, g = xgcd(int(co[0]), int(co[1]))
+    if g != 1:
+        raise ValueError("v is not primitive in the lattice")
+    # det((m1, m2), (-y, x)) = m1*x + m2*y = 1
+    u = -y * MukaiVector(*b1) + x * MukaiVector(*b2)
+    vu = pairing(cfg, v, u)
+    disc = vsq * square(cfg, u) - vu * vu
+    if disc > 0:
+        raise ValueError("lattice is positive definite, not a wall")
+    if disc == 0:
+        g = gcd(vsq, vu)
+        a = MukaiVector(*lex_sign(((vsq // g) * u - (vu // g) * v).as_tuple()))
+        norm_ok = True
+    else:
+        a, norm_ok = _normalize_in_basis(cfg, v, u)
+    gram = GramForm2(vsq, pairing(cfg, v, a), square(cfg, a))
+    return a, gram, orthogonal_line_generator(cfg, v, a), disc == 0, norm_ok, u
+
+
+def divisibility_by_coordinates(v: MukaiVector, d: MukaiVector) -> int:
+    """Index of Zd + Zv in its saturation: the determinant of their
+    coordinates in a basis of the saturation."""
+    b1, b2 = _kernel_of_cross(d, v)
+    c1 = coords_in_basis(b1, b2, d.as_tuple())
+    c2 = coords_in_basis(b1, b2, v.as_tuple())
+    det = c1[0] * c2[1] - c1[1] * c2[0]
+    assert det.denominator == 1 and det != 0
+    return abs(int(det))

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from collections import Counter
 
 import pytest
@@ -253,20 +254,29 @@ def test_classify_unsaturated_seed_is_hilbert_chow():
 def test_survey_analyses_each_wall_once(monkeypatch):
     # survey, and the standalone path of classify followed by
     # effective_decompositions on its verdict, each select every wall's arc
-    # once, solve its spherical classes once and run the split search once
-    # per flopping wall; the modules are imported by name because the
-    # package re-exports the classify function under the classify module's
-    # name
+    # once, solve its spherical classes once, search its pairing levels once
+    # and run the split search once per flopping wall; the divisorial
+    # classes are solved three times per non-degenerate build_wall and
+    # nowhere else, so the standalone path, which builds nothing, solves
+    # none.  The modules are imported by name because the package
+    # re-exports the classify function under the classify module's name
     classify_mod = importlib.import_module("k3walls.classify")
     analysis_mod = importlib.import_module("k3walls.analysis")
     stability_mod = importlib.import_module("k3walls.stability")
+    walls_mod = importlib.import_module("k3walls.walls")
     v = mv(3, 1, -7)
     arcs = Counter()
     searches = Counter()
     sphericals = Counter()
+    levels = Counter()
+    built = Counter()
+    divisorial = Counter()
     select_arc = classify_mod._select_arc
     search = classify_mod.effective_decompositions
     solve_spherical = stability_mod.spherical_classes
+    solve_levels = classify_mod.decomposition_solutions
+    solve_divisorial = walls_mod.classes_in_rank2
+    build = walls_mod.build_wall
 
     def counted_select_arc(cfg, wall, *args):
         arcs[wall.a.as_tuple()] += 1
@@ -280,16 +290,42 @@ def test_survey_analyses_each_wall_once(monkeypatch):
         searches[wall.a.as_tuple()] += 1
         return search(cfg, wall, *args)
 
+    def counted_levels(cfg, v, a):
+        levels[a.as_tuple()] += 1
+        return solve_levels(cfg, v, a)
+
+    def counted_divisorial(form, *args):
+        divisorial[form] += 1
+        return solve_divisorial(form, *args)
+
+    def counted_build(cfg, v, a):
+        wall = build(cfg, v, a)
+        if not wall.degenerate:
+            built[wall.gram] += 3
+        return wall
+
+    counters = (arcs, searches, sphericals, levels, built, divisorial)
+
     def take_counts():
-        counts = (arcs.copy(), searches.copy(), sphericals.copy())
-        for counter in (arcs, searches, sphericals):
+        counts = tuple(counter.copy() for counter in counters)
+        for counter in counters:
             counter.clear()
         return counts
 
     monkeypatch.setattr(classify_mod, "_select_arc", counted_select_arc)
     monkeypatch.setattr(stability_mod, "spherical_classes", counted_spherical)
+    monkeypatch.setattr(walls_mod, "build_wall", counted_build)
     for mod in (classify_mod, analysis_mod):
         monkeypatch.setattr(mod, "effective_decompositions", counted_search)
+    # every module binding a solver name gets the counted one, so a call
+    # from anywhere else is counted too
+    for name, counted in (
+        ("decomposition_solutions", counted_levels),
+        ("classes_in_rank2", counted_divisorial),
+    ):
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("k3walls") and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     sv = survey(CFG, v)
     survey_counts = take_counts()
     standalone = []
@@ -303,12 +339,19 @@ def test_survey_analyses_each_wall_once(monkeypatch):
     flopping = {r.a.as_tuple() for r in sv.records if r.verdict.is_flopping}
     assert flopping
     generic = [r.wall for r in sv.records if not r.wall.degenerate]
-    for walk_arcs, walk_searches, walk_sphericals in (survey_counts, standalone_counts):
+    assert survey_counts[4] and not standalone_counts[4]
+    for walk_arcs, walk_searches, walk_sphericals, walk_levels, walk_built, walk_divisorial in (
+        survey_counts, standalone_counts
+    ):
         assert walk_searches == Counter(dict.fromkeys(flopping, 1))
         assert walk_sphericals == Counter(w.gram for w in generic)
         assert walk_arcs == Counter(w.a.as_tuple() for w in generic)
+        # once per wall, so never again from the split search
+        assert walk_levels == Counter(w.a.as_tuple() for w in generic)
+        assert walk_divisorial == walk_built
     for rec, (verdict, decs) in zip(sv.records, standalone):
         assert verdict == rec.verdict
+        assert verdict.split_classes == rec.verdict.split_classes
         if not rec.verdict.is_flopping:
             assert rec.decompositions == () and rec.bundle is None
             continue

@@ -195,6 +195,13 @@ def test_classify_rejects_non_positive_v(capsys):
         assert err.startswith("error: v^2 = ") and "is not positive" in err
 
 
+def test_classify_rejects_non_primitive_v(capsys):
+    # (2, 0, -8) has v^2 = 32 > 0 and is not proportional to a
+    code, out, err = invoke(capsys, "classify", "--v", "2,0,-8", "--a", "1,1,0")
+    assert code == 1 and out == ""
+    assert err == "error: v is not primitive in the lattice\n"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("genus = 2\nv = 1,0,-4\nformat = json\n")

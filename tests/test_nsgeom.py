@@ -1,18 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import K3Config, enumerate_result, mv, survey
 from k3walls.analysis import chain_structure_check, transport_check
+from k3walls.intmath import cross3, vec_content
 from k3walls.lattice import (
     hilbert_n,
     line_bundle_vector,
     pairing,
     reflection_isometry,
+    square,
     tensor_isometry,
     twist_T,
 )
 from k3walls.nsgeom import combo_str, curve_class, divisibility, lambda_basis, wall_divisor
+from oracles import divisibility_by_coordinates
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -66,6 +70,22 @@ def test_wall_divisors_and_curves_hilbert_side():
         assert cur.divisibility == div
         assert cur.bbf_square == qr
         assert cur.bbf_square == Fraction(d.bbf_square, div * div)
+
+
+VECTORS = st.tuples(*[st.integers(-9, 9)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), VECTORS, VECTORS)
+def test_divisibility_matches_coordinate_index(g, vt, at):
+    # the content of D x v is the index the coordinate oracle computes, for
+    # the wall divisor of <v, a> and for a itself
+    cfg = K3Config(g)
+    v, a = mv(*vt), mv(*at)
+    assume(vec_content(vt) == 1 and square(cfg, v) > 0 and any(cross3(vt, at)))
+    d = wall_divisor(cfg, v, a, lambda_basis(cfg, v)).vec
+    for x in (d, a):
+        assert divisibility(cfg, v, x) == divisibility_by_coordinates(v, x)
 
 
 def test_divisibility_matches_delta_gcd_formula():

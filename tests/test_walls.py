@@ -5,10 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import K3Config, enumerate_result, mv
 from k3walls import walls as walls_mod
-from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector
+from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector, vec_content
 from k3walls.lattice import pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
 from k3walls.walls import MovableCone, _candidate_walls, _ray_coords, build_wall, default_window
+from oracles import wall_by_coordinates
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -333,3 +334,27 @@ def test_slope_places_rays_as_det2_and_cramer_do(case):
             assert (cone.position(r1) < cone.position(r2)) == (
                 _cramer_key(cone, r1) < _cramer_key(cone, r2)
             ), (r1, r2)
+
+
+VECTORS = st.tuples(*[st.integers(-9, 9)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), VECTORS, VECTORS)
+def test_build_wall_matches_coordinate_saturation(g, vt, at):
+    # the cross-product saturation gives the coordinate oracle's wall, or
+    # its error, and (v, u) spans the saturated plane
+    cfg = K3Config(g)
+    v, seed = mv(*vt), mv(*at)
+    assume(vec_content(vt) == 1 and square(cfg, v) > 0)
+    try:
+        expected = wall_by_coordinates(cfg, v, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            build_wall(cfg, v, seed)
+        assert str(info.value) == str(exc)
+        return
+    wall = build_wall(cfg, v, seed)
+    assert (wall.a, wall.gram, wall.line, wall.degenerate, wall.square_normalized) == expected[:5]
+    normal = primitive_vector(cross3(vt, at))
+    assert cross3(vt, wall.u.as_tuple()) in (normal, tuple(-x for x in normal))
