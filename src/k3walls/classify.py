@@ -225,7 +225,6 @@ def effective_decompositions(
     if func is None:
         return []
     v = wall.v
-    gram = wall.gram
     den = func.den
     atoms = _effective_atoms(func, verdict.split_classes, verdict.spherical)
     index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
@@ -242,12 +241,12 @@ def effective_decompositions(
         phases = tuple(Fraction(n, den) for _, n in split)
         refinable = False
         if len(parts) == 2:
-            # parts[0] = p*v + q*a, q read off its pairings (exactly, as
+            # parts[0] = p*v + q*a, q read off its pairings (integral, as
             # (v, a) is a basis of the wall); the two parts have determinant
             # -q in that basis, and a lattice parallelogram holds a point
             # besides its vertices exactly when |det| > 1
             u = parts[0]
-            q = (gram.q11 * pairing(cfg, u, wall.a) - gram.q12 * pairing(cfg, u, v)) // gram.disc
+            q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
             refinable = abs(q) > 1
         results.append(Decomposition(parts, phases, refinable))
 

@@ -168,23 +168,6 @@ def kernel_basis_int(n: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return hnf_two_rows(rows)
 
 
-def coords_in_basis(
-    b1: tuple[int, int, int], b2: tuple[int, int, int], x: tuple[int, int, int]
-):
-    """Exact (alpha, beta) with x = alpha*b1 + beta*b2, or None if outside."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = b1[i] * b2[j] - b1[j] * b2[i]
-            if det:
-                alpha = Fraction(x[i] * b2[j] - x[j] * b2[i], det)
-                beta = Fraction(b1[i] * x[j] - b1[j] * x[i], det)
-                for k in range(3):
-                    if alpha * b1[k] + beta * b2[k] != x[k]:
-                        return None
-                return alpha, beta
-    raise ValueError("basis vectors are dependent")
-
-
 def frac_str(x) -> str:
     """Canonical string for an exact rational: '3', '-5/2'."""
     x = Fraction(x)

@@ -68,6 +68,45 @@ def square(cfg: K3Config, x: MukaiVector) -> int:
     return pairing(cfg, x, x)
 
 
+@dataclass(frozen=True)
+class GramForm2:
+    """Gram matrix of a rank-two lattice in an ordered basis (b1, b2).
+
+    Points are coordinate pairs (x, y) meaning x*b1 + y*b2.
+    """
+
+    q11: int
+    q12: int
+    q22: int
+
+    @property
+    def disc_prime(self) -> int:
+        # positive exactly for signature (1,1)
+        return self.q12 * self.q12 - self.q11 * self.q22
+
+    def value(self, p: int, q: int) -> int:
+        return self.q11 * p * p + 2 * self.q12 * p * q + self.q22 * q * q
+
+    def pair(self, x: tuple[int, int], y: tuple[int, int]) -> int:
+        return (self.q11 * x[0] * y[0] + self.q12 * (x[0] * y[1] + x[1] * y[0])
+                + self.q22 * x[1] * y[1])
+
+    def coords(self, p1: int, p2: int) -> tuple[int, int]:
+        """The integer (x, y) whose pairings with b1 and b2 are p1 and p2.
+
+        Cramer's rule on the Gram matrix; ValueError when the form is
+        degenerate or the solution is not integral.
+        """
+        det = -self.disc_prime
+        if det == 0:
+            raise ValueError("the form is degenerate: pairings do not fix coordinates")
+        x, rx = divmod(p1 * self.q22 - p2 * self.q12, det)
+        y, ry = divmod(p2 * self.q11 - p1 * self.q12, det)
+        if rx or ry:
+            raise ValueError(f"pairings ({p1}, {p2}) have no integral coordinates")
+        return x, y
+
+
 def moduli_dim(cfg: K3Config, v: MukaiVector) -> int:
     """Dimension (v,v) + 2 of the moduli space of objects of class v."""
     sq = square(cfg, v)

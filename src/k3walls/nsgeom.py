@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intmath import (
-    coords_in_basis,
     cross3,
     frac_str,
     kernel_basis_int,
@@ -18,7 +17,7 @@ from .intmath import (
     primitive_vector,
     vec_content,
 )
-from .lattice import K3Config, MukaiVector, hilbert_n, pairing, square
+from .lattice import GramForm2, K3Config, MukaiVector, hilbert_n, pairing, square
 
 
 def pairing_row(cfg: K3Config, v: MukaiVector) -> tuple[int, int, int]:
@@ -35,24 +34,18 @@ class NSBasis:
     e2: MukaiVector
     labels: tuple[str, str]
 
-    def gram(self, cfg: K3Config) -> tuple[int, int, int]:
-        return (
+    def gram(self, cfg: K3Config) -> GramForm2:
+        return GramForm2(
             square(cfg, self.e1),
             pairing(cfg, self.e1, self.e2),
             square(cfg, self.e2),
         )
 
-    def coords(self, x: MukaiVector) -> tuple[Fraction, Fraction]:
-        co = coords_in_basis(self.e1.as_tuple(), self.e2.as_tuple(), x.as_tuple())
-        if co is None:
-            raise ValueError(f"{x} does not lie in the span of the basis")
-        return co
-
-    def int_coords(self, x: MukaiVector) -> tuple[int, int]:
-        a, b = self.coords(x)
-        if a.denominator != 1 or b.denominator != 1:
-            raise ValueError(f"{x} is not integral in this basis")
-        return int(a), int(b)
+    def int_coords(self, cfg: K3Config, x: MukaiVector) -> tuple[int, int]:
+        """Coordinates of x in v-perp, read off its pairings with the basis."""
+        if pairing(cfg, x, self.v) != 0:
+            raise ValueError(f"{x} does not lie in v-perp")
+        return self.gram(cfg).coords(pairing(cfg, x, self.e1), pairing(cfg, x, self.e2))
 
     def from_coords(self, x, y) -> MukaiVector:
         return x * self.e1 + y * self.e2
@@ -115,7 +108,7 @@ def wall_divisor(
         raise ValueError("a is proportional to v")
     g = vec_content(raw.as_tuple())
     vec = MukaiVector(*(x // g for x in raw.as_tuple()))
-    return NSClass(basis.int_coords(vec), vec, square(cfg, vec))
+    return NSClass(basis.int_coords(cfg, vec), vec, square(cfg, vec))
 
 
 def divisibility(cfg: K3Config, v: MukaiVector, d_vec: MukaiVector) -> int:

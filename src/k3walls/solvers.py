@@ -9,38 +9,18 @@ solve_square_with_pairing, the candidate search of the rank-three
 lattice: it solves for the wall divisors v^2*a - (a,v)*v on the form of
 v-perp, along the level lines of one coordinate.  The window picks the
 level lines; inside it the solutions come from Pell orbits when that is
-cheaper than testing each level.
+cheaper than testing each level.  Every form here is lattice.GramForm2,
+the engine's one rank-two form (a wall lattice in the basis (v, a), or
+v-perp in its NS basis).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import isqrt
 
 from .intmath import sqrt_exact, xgcd
-from .lattice import K3Config, MukaiVector, pairing, square
+from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis
-
-
-@dataclass(frozen=True)
-class GramForm2:
-    """Gram matrix of a rank-two lattice in an ordered basis (v, a)."""
-
-    q11: int
-    q12: int
-    q22: int
-
-    @property
-    def disc(self) -> int:
-        return self.q11 * self.q22 - self.q12 * self.q12
-
-    @property
-    def disc_prime(self) -> int:
-        # positive exactly for signature (1,1)
-        return self.q12 * self.q12 - self.q11 * self.q22
-
-    def value(self, p: int, q: int) -> int:
-        return self.q11 * p * p + 2 * self.q12 * p * q + self.q22 * q * q
 
 
 def gram_of(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> GramForm2:
@@ -80,7 +60,7 @@ def solve_square_with_pairing(
     e1, e2, vt = basis.e1.as_tuple(), basis.e2.as_tuple(), v.as_tuple()
     offset = -m * vt[i]
     levels = range(offset - window * vsq, offset + window * vsq + 1, vsq)
-    form = GramForm2(*basis.gram(cfg))
+    form = basis.gram(cfg)
     norm = vsq * (vsq * d - m * m)
     out: list[MukaiVector] = []
     for x, y in level_points(form, (e1[i], e2[i]), levels, norm, norm):
@@ -120,7 +100,7 @@ def level_points(
     A = form.value(dx, dy)
     if hi is None and A >= 0:
         raise ValueError(f"level lines of {line} carry no bounded point set")
-    b = form.q11 * x0 * dx + form.q12 * (x0 * dy + y0 * dx) + form.q22 * y0 * dy
+    b = form.pair((x0, y0), (dx, dy))
     q0 = form.value(x0, y0)
     delta = form.disc_prime
     out: set[tuple[int, int]] = set()

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .intmath import frac_floor_sqrt
+from .intmath import frac_floor_sqrt, lex_sign
 from .lattice import K3Config, MukaiVector, square
 from .solvers import gram_of, spherical_classes
 
@@ -129,21 +129,13 @@ def holes(cfg: K3Config, spherical) -> list[tuple[Fraction, Fraction, MukaiVecto
     spherical lists those classes (spherical_members).  Returns
     (b, t2, class) triples, one per +-pair, sorted by b.
     """
-    out = []
-    seen = set()
+    out = {}
     for s in spherical:
-        if s.r < 0 or (s.r == 0 and (s.c, s.s) < (0, 0)):
-            s = -s
+        s = MukaiVector(*lex_sign(s.as_tuple()))
         pt = hole_point(cfg, s)
-        if pt is None:
-            continue
-        key = (pt[0], pt[1], s.as_tuple())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((pt[0], pt[1], s))
-    out.sort(key=lambda h: (h[0], h[1]))
-    return out
+        if pt is not None:
+            out.setdefault(s, (pt[0], pt[1], s))
+    return sorted(out.values(), key=lambda h: (h[0], h[1]))
 
 
 @dataclass(frozen=True)

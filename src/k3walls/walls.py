@@ -1,13 +1,15 @@
 """Enumeration of the rank-two wall lattices meeting the movable cone.
 
 Candidate lattices come from the families (a,a) in {-2, 0} with
-0 <= (a,v) <= v^2/2, deduplicated by their orthogonal line and then
-saturated, one wall per line.
+0 <= (a,v) <= v^2/2, deduplicated by their NS ray (the ray of v-perp
+orthogonal to a, read off the two pairings of a with the NS basis) and
+then saturated, one wall per ray.
 The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
 one degenerate wall per ray; the others are solved in v-perp with one
 coordinate bounded by a window.  One search at twice the window serves
-both the window and its stability check: the window's lines are those
+both the window and its stability check: the window's rays are those
 whose smallest bounded coordinate (their reach) lies within it.
+NS coordinates are read off integer pairings with the NS basis.
 The movable sector is bootstrapped: an ample-side anchor ray is computed
 from a large-volume charge, and rays are placed by one exact slope around
 it.  The nearest divisorial wall on each side of the anchor bounds the
@@ -21,7 +23,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .intmath import (
-    coords_in_basis,
     cross3,
     det2,
     lex_sign,
@@ -30,9 +31,9 @@ from .intmath import (
     unit_section,
     vec_content,
 )
-from .lattice import K3Config, MukaiVector, pairing, square
+from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
-from .solvers import GramForm2, _free_index, classes_in_rank2, solve_square_with_pairing
+from .solvers import _free_index, classes_in_rank2, solve_square_with_pairing
 from .stability import _charge_parts, numerical_wall
 
 DEFAULT_WINDOW_FACTOR = 16
@@ -54,13 +55,11 @@ class WallLattice:
 
     v: MukaiVector
     a: MukaiVector
-    u: MukaiVector  # basis completion: (v, u) is a basis of the lattice
     gram: GramForm2  # Gram matrix in the basis (v, a)
     line: MukaiVector  # primitive generator of the orthogonal line
     degenerate: bool
-    square_normalized: bool  # a^2 landed in {-2, 0}
     divisorial: tuple[tuple[tuple[int, int], ...], ...]  # (bn, hc, lgu)
-    ray: tuple[int, int] | None = None  # NS coords of the line, set by enumerate_result
+    ray: tuple[int, int] | None = None  # NS coords of the line, set by _candidate_walls
 
     def member(self, p: int, q: int) -> MukaiVector:
         return p * self.v + q * self.a
@@ -90,7 +89,7 @@ def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
     a = min(cands, key=pref)
     if pairing(cfg, a, v) == 0:
         a = MukaiVector(*lex_sign(a.as_tuple()))
-    return a, square(cfg, a) in (-2, 0)
+    return a
 
 
 def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattice:
@@ -114,21 +113,19 @@ def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattic
     disc = vsq * square(cfg, u) - vu * vu
     if disc > 0:
         raise ValueError("lattice is positive definite, not a wall")
-    if disc == 0:
+    degenerate = disc == 0
+    if degenerate:
         # the radical: the integer kernel of the Gram matrix of (v, u)
         g = gcd(vsq, vu)
         a = MukaiVector(*lex_sign(((vsq // g) * u - (vu // g) * v).as_tuple()))
-        norm_ok = True
-        degenerate = True
     else:
-        a, norm_ok = _normalize_in_basis(cfg, v, u)
-        degenerate = False
+        a = _normalize_in_basis(cfg, v, u)
     gram = GramForm2(vsq, pairing(cfg, v, a), square(cfg, a))
     line = orthogonal_line_generator(cfg, v, a)
     divisorial = ((), (), ()) if degenerate else tuple(
         tuple(classes_in_rank2(gram, d, k)) for d, k in ((-2, 0), (0, 1), (0, 2))
     )
-    return WallLattice(v, a, u, gram, line, degenerate, norm_ok, divisorial)
+    return WallLattice(v, a, gram, line, degenerate, divisorial)
 
 
 class SectorError(ValueError):
@@ -145,20 +142,14 @@ class MovableCone:
     """
 
     basis: NSBasis
-    gram: tuple[int, int, int]
+    gram: GramForm2  # the form of v-perp in the NS basis
     anchor: tuple[int, int]
     start: tuple[int, int]
     end: tuple[int, int]
-    start_kind: str
-    end_kind: str
-
-    def q(self, x, y) -> int:
-        g11, g12, g22 = self.gram
-        return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
 
     def orient(self, ray: tuple[int, int]) -> tuple[int, int]:
         """Sign-fix a positive-or-null ray into the anchor's component."""
-        val = self.q(ray, self.anchor)
+        val = self.gram.pair(ray, self.anchor)
         if val == 0:
             raise SectorError(f"ray {ray} is orthogonal to the anchor")
         return ray if val > 0 else (-ray[0], -ray[1])
@@ -171,16 +162,13 @@ class MovableCone:
         which holds every wall line; its sign is the side of the anchor.
         """
         u = self.orient(ray)
-        return Fraction(det2(self.anchor, u), self.q(self.anchor, u))
+        return Fraction(det2(self.anchor, u), self.gram.pair(self.anchor, u))
 
     def position(self, ray: tuple[int, int]) -> Fraction | None:
         """Exact sort key growing from start to end; None outside the sector."""
         sign = -1 if self.slope(self.start) > self.slope(self.end) else 1
         lo, hi, pos = (sign * self.slope(r) for r in (self.start, self.end, ray))
         return pos if lo <= pos <= hi else None
-
-    def contains_line(self, ray: tuple[int, int]) -> bool:
-        return self.position(ray) is not None
 
 
 def _gieseker_anchor(
@@ -206,27 +194,20 @@ def _gieseker_anchor(
     A = (Fraction(1), b0, Fraction(e, 2) * (b0 * b0 - t2))
     B = (Fraction(0), Fraction(1), e * b0)
     w = tuple(mv * A[i] - rv * B[i] for i in range(3))
-    co = coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), w)
-    assert co is not None  # w lies in v-perp
-    den = lcm(co[0].denominator, co[1].denominator)
-    return primitive_vector((int(co[0] * den), int(co[1] * den)))
+    den = lcm(*(x.denominator for x in w))
+    return primitive_vector(basis.int_coords(cfg, MukaiVector(*(int(x * den) for x in w))))
 
 
-def _null_rays(gram: tuple[int, int, int]) -> list[tuple[int, int]]:
+def _null_rays(form: GramForm2) -> list[tuple[int, int]]:
     """Primitive rational null rays of the NS form (signature (1,1)), if any."""
-    g11, g12, g22 = gram
-    if g11 == 0:
-        raw = [(1, 0), (-g22, 2 * g12)]
+    if form.q11 == 0:
+        raw = [(1, 0), (-form.q22, 2 * form.q12)]
     else:
-        root = sqrt_exact(g12 * g12 - g11 * g22)
+        root = sqrt_exact(form.disc_prime)
         if root is None:
             return []
-        raw = [(-g12 + root, g11), (-g12 - root, g11)]
+        raw = [(-form.q12 + root, form.q11), (-form.q12 - root, form.q11)]
     return [lex_sign(primitive_vector(ray)) for ray in raw]
-
-
-def _ray_coords(basis: NSBasis, line: MukaiVector) -> tuple[int, int]:
-    return lex_sign(basis.int_coords(line))
 
 
 def movable_cone(
@@ -234,19 +215,19 @@ def movable_cone(
 ) -> MovableCone:
     anchor = _gieseker_anchor(cfg, v, basis, [w.a for w in candidates])
     # the boundaries are filled in once they are known
-    cone = MovableCone(basis, basis.gram(cfg), anchor, anchor, anchor, "", "")
-    assert cone.q(anchor, anchor) > 0
+    cone = MovableCone(basis, basis.gram(cfg), anchor, anchor, anchor)
+    assert cone.gram.value(*anchor) > 0
 
-    # (slope, ray, kind, is_hc); the null rays carry the extreme slopes, so
-    # one bounds a side only when that side has no divisorial ray
+    # (slope, ray, is_divisorial, is_hc); the null rays carry the extreme
+    # slopes, so one bounds a side only when that side has no divisorial ray
     rays = []
     for w in candidates:
         bn, hc, lgu = w.divisorial
         if bn or hc or lgu:
-            rays.append((cone.slope(w.ray), cone.orient(w.ray), "divisorial", bool(hc)))
+            rays.append((cone.slope(w.ray), cone.orient(w.ray), True, bool(hc)))
     if any(r[0] == 0 for r in rays):
         raise SectorError("divisorial ray equals the anchor ray")
-    rays += [(cone.slope(n), cone.orient(n), "null", False) for n in _null_rays(cone.gram)]
+    rays += [(cone.slope(n), cone.orient(n), False, False) for n in _null_rays(cone.gram)]
     plus = min((r for r in rays if r[0] > 0), key=lambda r: r[0], default=None)
     minus = max((r for r in rays if r[0] < 0), key=lambda r: r[0], default=None)
     if plus is None or minus is None:
@@ -255,8 +236,8 @@ def movable_cone(
             "the movable sector cannot be bounded exactly"
         )
     # start at a divisorial boundary, preferring the Hilbert-Chow type
-    start, end = sorted([plus, minus], key=lambda r: (r[2] != "divisorial", not r[3], r[1]))
-    return replace(cone, start=start[1], end=end[1], start_kind=start[2], end_kind=end[2])
+    start, end = sorted([plus, minus], key=lambda r: (not r[2], not r[3], r[1]))
+    return replace(cone, start=start[1], end=end[1])
 
 
 @dataclass(frozen=True)
@@ -272,11 +253,13 @@ def default_window(cfg: K3Config, v: MukaiVector) -> int:
 
 
 def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis):
-    """One wall per orthogonal line, built once, with the line's reach.
+    """One wall per NS ray, built once, with the ray's reach, keyed by the ray.
 
-    The reach is the smallest |free coordinate| of the line's seeds (0 for
-    a null ray), so a search at any window w <= window finds exactly the
-    lines of reach <= w.
+    A seed a keys the ray of v-perp orthogonal to it (the NS coordinates of
+    the orthogonal line of <v, a>), read off the pairings of a with the
+    basis.  The reach is the smallest |free coordinate| of the ray's seeds
+    (0 for a null ray), so a search at any window w <= window finds exactly
+    the rays of reach <= w.
     """
     vsq = square(cfg, v)
     i = _free_index(v)
@@ -289,17 +272,16 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays
     # of v-perp, one degenerate wall per ray, found without a window
     hits += [(0, basis.from_coords(x, y)) for x, y in _null_rays(basis.gram(cfg))]
-    # the wall is the saturation of the plane, so any seed of a line builds it
-    seeds: dict[tuple[int, int, int], tuple[int, MukaiVector]] = {}
+    # the wall is the saturation of the plane, so any seed of a ray builds it
+    seeds: dict[tuple[int, int], tuple[int, MukaiVector]] = {}
     for t, a in hits:
-        key = orthogonal_line_generator(cfg, v, a).as_tuple()
+        key = lex_sign(primitive_vector((pairing(cfg, basis.e2, a), -pairing(cfg, basis.e1, a))))
         if key not in seeds or t < seeds[key][0]:
             seeds[key] = (t, a)
-    walls = {}
-    for key, (reach, a) in seeds.items():
-        wall = build_wall(cfg, v, a)
-        walls[key] = (reach, replace(wall, ray=_ray_coords(basis, wall.line)))
-    return walls
+    return {
+        key: (reach, replace(build_wall(cfg, v, a), ray=key))
+        for key, (reach, a) in seeds.items()
+    }
 
 
 def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
@@ -315,17 +297,15 @@ def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -
         # the stability pass at twice the window would repeat this one
         raise ValueError(f"window must be a positive integer, got {window}")
     basis = lambda_basis(cfg, v)
-    # one search at twice the window; each window's pool is the lines it reaches
+    # one search at twice the window; each window's pool is the rays it reaches
     cands = _candidate_walls(cfg, v, 2 * window, basis)
     passes = []
     for win in (window, 2 * window):
-        pool = {key: w for key, (reach, w) in cands.items() if reach <= win}
-        cone = movable_cone(cfg, v, list(pool.values()), basis)
-        passes.append((cone, {key: w for key, w in pool.items() if cone.contains_line(w.ray)}))
+        pool = [w for reach, w in cands.values() if reach <= win]
+        cone = movable_cone(cfg, v, pool, basis)
+        # the rays meeting the sector, with their positions from start to end
+        passes.append((cone, {w.ray: p for w in pool if (p := cone.position(w.ray)) is not None}))
     (cone, kept), (_, kept2) = passes
     stable = kept.keys() == kept2.keys()
-
-    # the walls meeting the sector, oriented, from start to end
-    placed = sorted((cone.position(w.ray), key) for key, w in kept.items())
-    walls = tuple(replace(kept[key], ray=cone.orient(kept[key].ray)) for _, key in placed)
+    walls = tuple(replace(cands[ray][1], ray=cone.orient(ray)) for ray in sorted(kept, key=kept.get))
     return EnumerationResult(walls, cone, window, stable)

@@ -3,7 +3,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from k3walls.intmath import (
-    coords_in_basis,
     cross3,
     kernel_basis_int,
     lex_sign,
@@ -11,10 +10,31 @@ from k3walls.intmath import (
     primitive_vector,
     xgcd,
 )
-from k3walls.lattice import Isometry, K3Config, MukaiVector, pairing, square
+from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.solvers import GramForm2
 from k3walls.walls import _normalize_in_basis
+
+
+def coords_in_basis(
+    b1: tuple[int, int, int], b2: tuple[int, int, int], x: tuple[int, int, int]
+):
+    """Exact (alpha, beta) with x = alpha*b1 + beta*b2, or None if outside.
+
+    Solved on the first non-vanishing 2x2 minor of (b1, b2) and checked on
+    all three coordinates; the engine reads coordinates off pairings
+    instead (GramForm2.coords).
+    """
+    for i in range(3):
+        for j in range(i + 1, 3):
+            det = b1[i] * b2[j] - b1[j] * b2[i]
+            if det:
+                alpha = Fraction(x[i] * b2[j] - x[j] * b2[i], det)
+                beta = Fraction(b1[i] * x[j] - b1[j] * x[i], det)
+                for k in range(3):
+                    if alpha * b1[k] + beta * b2[k] != x[k]:
+                        return None
+                return alpha, beta
+    raise ValueError("basis vectors are dependent")
 
 
 def lattice_points_in_parallelogram(
@@ -114,7 +134,7 @@ def _kernel_of_cross(x: MukaiVector, y: MukaiVector):
 
 
 def wall_by_coordinates(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector):
-    """(a, gram, line, degenerate, square_normalized, u) of the wall of <v, a_seed>.
+    """(a, gram, line, degenerate, u) of the wall of <v, a_seed>.
 
     The saturation is a kernel basis (b1, b2) of the normal of the plane,
     and u completes v by xgcd on the coordinates of v in that basis; the
@@ -140,11 +160,10 @@ def wall_by_coordinates(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector):
     if disc == 0:
         g = gcd(vsq, vu)
         a = MukaiVector(*lex_sign(((vsq // g) * u - (vu // g) * v).as_tuple()))
-        norm_ok = True
     else:
-        a, norm_ok = _normalize_in_basis(cfg, v, u)
+        a = _normalize_in_basis(cfg, v, u)
     gram = GramForm2(vsq, pairing(cfg, v, a), square(cfg, a))
-    return a, gram, orthogonal_line_generator(cfg, v, a), disc == 0, norm_ok, u
+    return a, gram, orthogonal_line_generator(cfg, v, a), disc == 0, u
 
 
 def divisibility_by_coordinates(v: MukaiVector, d: MukaiVector) -> int:

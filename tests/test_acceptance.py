@@ -17,7 +17,6 @@ from k3walls import (
     two_part_splits,
 )
 from k3walls.classify import bundle_descriptor
-from k3walls.intmath import coords_in_basis
 from k3walls.lattice import (
     dual_isometry,
     line_bundle_vector,
@@ -29,7 +28,7 @@ from k3walls.lattice import (
 )
 from k3walls.report import render_json, walls_document_from_survey
 from k3walls.stability import numerical_wall, path_crossings
-from oracles import lattice_points_in_parallelogram
+from oracles import coords_in_basis, lattice_points_in_parallelogram
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)

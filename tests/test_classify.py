@@ -16,10 +16,9 @@ from k3walls import (
     two_part_splits,
 )
 from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
-from k3walls.intmath import coords_in_basis
 from k3walls.lattice import pairing, square
 from k3walls.walls import build_wall
-from oracles import lattice_points_in_parallelogram
+from oracles import coords_in_basis, lattice_points_in_parallelogram
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)

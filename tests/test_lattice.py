@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from k3walls import K3Config, mv
 from k3walls.lattice import (
+    GramForm2,
     dual_isometry,
     hilbert_n,
     identity_isometry,
@@ -18,7 +19,7 @@ from k3walls.lattice import (
     tensor_isometry,
     twist_T,
 )
-from oracles import isometry_inverse, preserves_pairing
+from oracles import coords_in_basis, isometry_inverse, preserves_pairing
 
 CFG = K3Config(2)
 
@@ -181,3 +182,27 @@ def test_isometry_equality_is_matrix_equality():
     )
     assert composite == twist_T(CFG)
     assert twist_T(CFG) != tensor_isometry(CFG, -2)
+
+
+SMALL = st.integers(min_value=-9, max_value=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(GramForm2, SMALL, SMALL, SMALL).filter(lambda f: f.disc_prime != 0),
+       ints, ints, ints, ints)
+def test_gram_coords_reads_points_off_their_pairings(form, x, y, p1, p2):
+    # an integer point round-trips through its pairings with the basis
+    assert form.coords(form.pair((x, y), (1, 0)), form.pair((x, y), (0, 1))) == (x, y)
+    # other pairings have coordinates exactly when the rational solution of
+    # G (x, y) = (p1, p2) is integral
+    exact = coords_in_basis((form.q11, form.q12, 0), (form.q12, form.q22, 0), (p1, p2, 0))
+    if all(c.denominator == 1 for c in exact):
+        assert form.coords(p1, p2) == exact
+    else:
+        with pytest.raises(ValueError, match="integral"):
+            form.coords(p1, p2)
+
+
+def test_gram_coords_rejects_a_degenerate_form():
+    with pytest.raises(ValueError, match="degenerate"):
+        GramForm2(2, 2, 2).coords(2, 2)

@@ -7,6 +7,7 @@ from k3walls import K3Config, enumerate_result, mv, survey
 from k3walls.analysis import chain_structure_check, transport_check
 from k3walls.intmath import cross3, vec_content
 from k3walls.lattice import (
+    GramForm2,
     hilbert_n,
     line_bundle_vector,
     pairing,
@@ -16,7 +17,7 @@ from k3walls.lattice import (
     twist_T,
 )
 from k3walls.nsgeom import combo_str, curve_class, divisibility, lambda_basis, wall_divisor
-from oracles import divisibility_by_coordinates
+from oracles import coords_in_basis, divisibility_by_coordinates
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -28,15 +29,14 @@ def test_lambda_basis_hilbert_convention():
     assert basis.labels == ("delta", "H")
     assert basis.e1 == mv(-1, 0, -4)
     assert basis.e2 == mv(0, -1, 0)
-    assert basis.gram(CFG) == (-8, 0, 2)
+    assert basis.gram(CFG) == GramForm2(-8, 0, 2)
 
 
 def test_lambda_basis_general():
     basis = lambda_basis(CFG, VM)
     for e in (basis.e1, basis.e2):
         assert pairing(CFG, e, VM) == 0
-    g11, g12, g22 = basis.gram(CFG)
-    assert g11 * g22 - g12 * g12 == -16  # same discriminant as the Hilbert side
+    assert basis.gram(CFG).disc_prime == 16  # same discriminant as the Hilbert side
     with pytest.raises(ValueError):
         lambda_basis(CFG, mv(2, 0, -8))
     with pytest.raises(ValueError):
@@ -168,3 +168,27 @@ def test_combo_str():
     assert combo_str((0, -1), ("H", "delta")) == "-delta"
     assert combo_str((0, 0), ("H", "delta")) == "0"
     assert combo_str((Fraction(1), Fraction(-3, 4)), ("H", "delta")) == "H-3/4*delta"
+
+
+TRIPLES = st.tuples(*[st.integers(-9, 9)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.booleans(), st.integers(2, 40), TRIPLES, TRIPLES)
+def test_int_coords_match_the_minor_oracle(g, hilbert, n, vt, yt):
+    # y projects to the member w = v^2*y - (y, v)*v of v-perp, whose
+    # coordinates in the Hilbert or the Hermite-reduced basis are integral;
+    # a class off v-perp, such as w + v, has none
+    cfg = K3Config(g)
+    v = mv(1, 0, 1 - n) if hilbert else mv(*vt)
+    assume(vec_content(v.as_tuple()) == 1 and square(cfg, v) > 0)
+    basis = lambda_basis(cfg, v)
+    assert (basis.labels == ("delta", "H")) == (v.r == 1 and v.c == 0 and v.s < 0)
+    y = mv(*yt)
+    w = square(cfg, v) * y - pairing(cfg, y, v) * v
+    exact = coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), w.as_tuple())
+    assert basis.int_coords(cfg, w) == exact
+    assert basis.from_coords(*basis.int_coords(cfg, w)) == w
+    assert coords_in_basis(basis.e1.as_tuple(), basis.e2.as_tuple(), (w + v).as_tuple()) is None
+    with pytest.raises(ValueError, match="v-perp"):
+        basis.int_coords(cfg, w + v)

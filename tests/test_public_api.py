@@ -70,3 +70,47 @@ def test_every_module_level_name_is_loaded():
         }
     assert defined - loaded - EXPORTED == set(UNLOADED)
     assert all(UNLOADED.values())
+
+
+# dataclass fields and properties that no code in the package reads
+UNREAD_FIELDS = {
+    "BundleDescriptor.codim": "the exceptional locus's codimension, read by "
+    "the acceptance tests against the paper's flop cells",
+    "BundleDescriptor.total_dim": "the exceptional locus's dimension, read "
+    "by the acceptance tests against the paper's flop cells",
+    "Decomposition.phases": "public result of effective_decompositions, the "
+    "phase of each part; read by the classification tests",
+    "GeomCharge.vanishes": "read by the stability tests on central_charge "
+    "values",
+    "Isometry.det": "read by the lattice tests on every isometry",
+    "WallLattice.line": "the wall's orthogonal line in Mukai coordinates, "
+    "read by perfbench/checks.py and the wall tests",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read():
+    # a field or property of a dataclass must be read as an attribute
+    # somewhere in the package, or be listed with its reason
+    members, read = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign):
+                        members.add((node.name, item.target.id))
+                    elif isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in item.decorator_list
+                    ):
+                        members.add((node.name, item.name))
+    assert {f"{cls}.{name}" for cls, name in members if name not in read} == set(UNREAD_FIELDS)
+    assert all(UNREAD_FIELDS.values())

@@ -5,10 +5,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from k3walls import K3Config, mv
 from k3walls import solvers
-from k3walls.lattice import pairing, square
+from k3walls.intmath import lex_sign
+from k3walls.lattice import GramForm2, pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
 from k3walls.solvers import (
-    GramForm2,
     _pell_unit,
     classes_in_rank2,
     decomposition_solutions,
@@ -160,7 +160,6 @@ def test_decomposition_solutions_rejects_rank_one():
 def test_gram_of():
     g = gram_of(CFG, VP, mv(1, -1, 2))
     assert (g.q11, g.q12, g.q22) == (8, 2, -2)
-    assert g.disc == -20
     assert g.disc_prime == 20
 
 
@@ -359,5 +358,5 @@ def test_reach_filter_matches_a_direct_search(g, vt, window):
         for a in solve_square_with_pairing(cfg, v, d, m, window, basis)
     ]
     hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram(cfg))]
-    direct = {orthogonal_line_generator(cfg, v, a).as_tuple() for a in hits}
+    direct = {lex_sign(basis.int_coords(cfg, orthogonal_line_generator(cfg, v, a))) for a in hits}
     assert {key for key, (reach, _) in cands.items() if reach <= window} == direct

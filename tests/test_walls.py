@@ -5,11 +5,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import K3Config, enumerate_result, mv
 from k3walls import walls as walls_mod
-from k3walls.intmath import coords_in_basis, cross3, det2, primitive_vector, vec_content
-from k3walls.lattice import pairing, square
+from k3walls.intmath import cross3, det2, lex_sign, primitive_vector, vec_content
+from k3walls.lattice import GramForm2, pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
-from k3walls.walls import MovableCone, _candidate_walls, _ray_coords, build_wall, default_window
-from oracles import wall_by_coordinates
+from k3walls.walls import MovableCone, _candidate_walls, build_wall, default_window
+from oracles import coords_in_basis, wall_by_coordinates
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -88,9 +88,8 @@ def test_wall_lattice_invariants():
     for v in (VP, VM):
         for wall in enumerate_result(CFG, v).walls:
             g = wall.gram
-            assert g.disc <= 0
-            assert (g.disc == 0) == wall.degenerate
-            assert wall.square_normalized
+            assert g.disc_prime >= 0
+            assert (g.disc_prime == 0) == wall.degenerate
             assert g.q22 in (-2, 0)
             assert 0 <= g.q12 <= g.q11 // 2
             # v sits in the lattice and the basis completion spans it
@@ -106,16 +105,18 @@ def test_boundary_walls_are_divisorial_and_isotropic():
         assert square(CFG, last.a) == 0 and pairing(CFG, last.a, v) == 0
 
 
-def _carries_wall_class(v, wall, scan=60, cfg=CFG):
-    """Brute scan of the saturated lattice for a class with square -2 or 0
-    and pairing against v inside the window; such a class is what makes the
-    orthogonal line an actual wall rather than a crossing-free line."""
+def _carries_wall_class(v, seed, scan=60, cfg=CFG):
+    """Brute scan of the saturation of <v, seed>, in the oracle's basis
+    (v, u), for a class with square -2 or 0 and pairing against v inside
+    the window; such a class is what makes the orthogonal line an actual
+    wall rather than a crossing-free line."""
     from math import isqrt
 
+    u = wall_by_coordinates(cfg, v, seed)[4]
     vsq = square(cfg, v)
     g11 = vsq
-    g12 = pairing(cfg, v, wall.u)
-    g22 = square(cfg, wall.u)
+    g12 = pairing(cfg, v, u)
+    g22 = square(cfg, u)
     for q in range(-scan, scan + 1):
         if q == 0:
             continue  # multiples of v span no new lattice direction
@@ -153,13 +154,12 @@ def _brute_mov_rays(v, bound=12, cfg=CFG, window=None):
                 lines.add(orthogonal_line_generator(cfg, v, a).as_tuple())
     rays = set()
     for line in lines:
-        ray = _ray_coords(basis, mv(*line))
-        if not cone.contains_line(ray):
+        ray = lex_sign(basis.int_coords(cfg, mv(*line)))
+        if cone.position(ray) is None:
             continue
-        wall = build_wall(cfg, v, mv(*_seed_from_line(v, line, cfg)))
-        if _carries_wall_class(v, wall, cfg=cfg):
+        if _carries_wall_class(v, mv(*_seed_from_line(v, line, cfg)), cfg=cfg):
             rays.add(ray)
-    return rays, {_ray_coords(basis, w.line) for w in res.walls}
+    return rays, {lex_sign(basis.int_coords(cfg, w.line)) for w in res.walls}
 
 
 def _seed_from_line(v, line, cfg=CFG):
@@ -192,7 +192,7 @@ def test_sanity_one_interior_flop_for_small_hilbert():
 def test_build_wall_from_unsaturated_seed():
     wall = build_wall(CFG, mv(0, 1, -1), mv(-2, 1, -1))
     assert square(CFG, wall.a) == 0
-    assert wall.gram.disc == -1  # saturated Hilbert-Chow lattice
+    assert wall.gram.disc_prime == 1  # saturated Hilbert-Chow lattice
 
 
 def test_higher_genus_enumeration():
@@ -225,9 +225,9 @@ def test_isotropic_walls_come_from_every_null_ray():
 
 def test_end_ray_sorts_after_every_interior_ray():
     # position reads only the form, the anchor and the two boundary rays
-    cone = MovableCone(None, (0, 1, 0), (1, 1), (1, 0), (0, 1), "null", "null")
+    cone = MovableCone(None, GramForm2(0, 1, 0), (1, 1), (1, 0), (0, 1))
     steep = (1, 10**31)
-    assert cone.contains_line(steep)
+    assert cone.position(steep) is not None
     assert cone.position((1, 0)) < cone.position(steep) < cone.position((0, 1))
 
 
@@ -270,13 +270,9 @@ def test_each_window_keeps_the_lines_it_reaches():
     assert [res.stable for res in results] == [False, False, True]
 
 
-def _gram_q(gram, x, y):
-    g11, g12, g22 = gram
-    return g11 * x[0] * y[0] + g12 * (x[0] * y[1] + x[1] * y[0]) + g22 * x[1] * y[1]
-
-
 def _between_det2(cone, ray):
-    """Oracle for contains_line: the ray lies between start and end by det2 signs."""
+    """Oracle for membership (position not None): the ray lies between
+    start and end by det2 signs."""
     u = cone.orient(ray)
     d1, d2 = det2(cone.start, u), det2(u, cone.end)
     if det2(cone.start, cone.end) > 0:
@@ -302,21 +298,21 @@ def sectors(draw):
         # the product of two independent linear forms: rational null rays
         a1, b1, a2, b2 = draw(st.tuples(small, small, small, small))
         assume(a1 * b2 - a2 * b1 != 0)
-        gram = (2 * a1 * a2, a1 * b2 + a2 * b1, 2 * b1 * b2)
+        gram = GramForm2(2 * a1 * a2, a1 * b2 + a2 * b1, 2 * b1 * b2)
         nulls = [(b1, -a1), (b2, -a2)]
     else:
-        gram = draw(st.tuples(small, small, small))
-        assume(gram[1] ** 2 - gram[0] * gram[2] > 0)
+        gram = GramForm2(*draw(st.tuples(small, small, small)))
+        assume(gram.disc_prime > 0)
     vecs = draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=12))
-    positive = [x for x in vecs if _gram_q(gram, x, x) > 0]
+    positive = [x for x in vecs if gram.value(*x) > 0]
     assume(positive)
     anchor = primitive_vector(positive[0])
     # rays of either sign: MovableCone.orient moves each into the anchor's component
     rays = draw(st.permutations(positive[1:] + nulls))
     assume(len(rays) >= 2)
-    start, end = (x if _gram_q(gram, x, anchor) > 0 else (-x[0], -x[1]) for x in rays[:2])
+    start, end = (x if gram.pair(x, anchor) > 0 else (-x[0], -x[1]) for x in rays[:2])
     assume(det2(start, end) != 0)
-    return MovableCone(None, gram, anchor, start, end, "", ""), rays
+    return MovableCone(None, gram, anchor, start, end), rays
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,8 +321,8 @@ def test_slope_places_rays_as_det2_and_cramer_do(case):
     cone, rays = case
     inside = []
     for ray in rays:
-        assert cone.contains_line(ray) == _between_det2(cone, ray), ray
-        if cone.contains_line(ray):
+        assert (cone.position(ray) is not None) == _between_det2(cone, ray), ray
+        if cone.position(ray) is not None:
             inside.append(ray)
     assert len(inside) >= 2  # start and end
     for r1 in inside:
@@ -343,7 +339,8 @@ VECTORS = st.tuples(*[st.integers(-9, 9)] * 3)
 @given(st.integers(2, 12), VECTORS, VECTORS)
 def test_build_wall_matches_coordinate_saturation(g, vt, at):
     # the cross-product saturation gives the coordinate oracle's wall, or
-    # its error, and (v, u) spans the saturated plane
+    # its error, and (v, a) spans the saturated plane unless a spans the
+    # radical of a degenerate wall
     cfg = K3Config(g)
     v, seed = mv(*vt), mv(*at)
     assume(vec_content(vt) == 1 and square(cfg, v) > 0)
@@ -355,6 +352,7 @@ def test_build_wall_matches_coordinate_saturation(g, vt, at):
         assert str(info.value) == str(exc)
         return
     wall = build_wall(cfg, v, seed)
-    assert (wall.a, wall.gram, wall.line, wall.degenerate, wall.square_normalized) == expected[:5]
+    assert (wall.a, wall.gram, wall.line, wall.degenerate) == expected[:4]
     normal = primitive_vector(cross3(vt, at))
-    assert cross3(vt, wall.u.as_tuple()) in (normal, tuple(-x for x in normal))
+    if not wall.degenerate:
+        assert cross3(vt, wall.a.as_tuple()) in (normal, tuple(-x for x in normal))
