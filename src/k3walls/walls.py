@@ -10,17 +10,18 @@ coordinate bounded by a window.  One search at twice the window serves
 both the window and its stability check: the window's rays are those
 whose smallest bounded coordinate (their reach) lies within it.
 NS coordinates are read off integer pairings with the NS basis.
-The movable sector is bootstrapped: an ample-side anchor ray is computed
-from a large-volume charge, and rays are placed by one exact slope around
-it.  The nearest divisorial wall on each side of the anchor bounds the
-sector, and a positive-cone null ray closes any side without a divisorial
-wall.
+The movable sector is read off Bridgeland's large-volume limit: its NS
+direction is -l + eps*w with eps -> 0+, for two integer rays l and w, so
+every orientation and side is a lexicographic pair of integer signs.  The
+nearest divisorial wall on each side of the limit bounds the sector, and
+a positive-cone null ray closes any side without a divisorial wall.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cmp_to_key
+from math import gcd
 
 from .intmath import (
     cross3,
@@ -34,7 +35,6 @@ from .intmath import (
 from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
 from .solvers import _free_index, classes_in_rank2, solve_square_with_pairing
-from .stability import _charge_parts, numerical_wall
 
 DEFAULT_WINDOW_FACTOR = 16
 
@@ -137,8 +137,10 @@ class MovableCone:
     """Closed sector of the positive cone between the two boundary rays.
 
     Rays are primitive integer coordinate pairs in the NS basis, sign-fixed
-    into the positive-cone component of the anchor.  start is the
-    divisorial (Hilbert-Chow side) boundary whenever one exists.
+    into the positive-cone component of the sector; the anchor is the
+    primitive sum of the two boundary rays, an interior timelike ray.
+    start is the divisorial (Hilbert-Chow side) boundary whenever one
+    exists.
     """
 
     basis: NSBasis
@@ -154,48 +156,32 @@ class MovableCone:
             raise SectorError(f"ray {ray} is orthogonal to the anchor")
         return ray if val > 0 else (-ray[0], -ray[1])
 
-    def slope(self, ray: tuple[int, int]) -> Fraction:
-        """Exact coordinate of a positive-or-null ray around the anchor.
-
-        Along anchor + s*B with B orthogonal to the anchor it is linear in
-        s, so it grows strictly across the half-plane q(anchor, .) > 0,
-        which holds every wall line; its sign is the side of the anchor.
-        """
-        u = self.orient(ray)
-        return Fraction(det2(self.anchor, u), self.gram.pair(self.anchor, u))
-
     def position(self, ray: tuple[int, int]) -> Fraction | None:
-        """Exact sort key growing from start to end; None outside the sector."""
-        sign = -1 if self.slope(self.start) > self.slope(self.end) else 1
-        lo, hi, pos = (sign * self.slope(r) for r in (self.start, self.end, ray))
-        return pos if lo <= pos <= hi else None
+        """Exact sort key growing from start to end; None outside the sector.
+
+        A ray's line meets the sector when it lies between the boundary
+        lines.  The key is the slope det(anchor, u) / q(anchor, u), even in
+        u: along anchor + s*B with B orthogonal to the anchor it is linear
+        in s, so it grows counterclockwise across the whole component.
+        """
+        if det2(self.start, ray) * det2(ray, self.end) < 0:
+            return None
+        slope = Fraction(det2(self.anchor, ray), self.gram.pair(self.anchor, ray))
+        return slope if det2(self.start, self.end) > 0 else -slope
 
 
-def _gieseker_anchor(
-    cfg: K3Config, v: MukaiVector, basis: NSBasis, seeds: list[MukaiVector]
-) -> tuple[int, int]:
-    """Primitive NS ray of a large-volume charge, beyond every candidate wall."""
-    v_eff = MukaiVector(*lex_sign(v.as_tuple()))
-    b0 = Fraction(v_eff.c, v_eff.r) - 1 if v_eff.r != 0 else Fraction(0)
-    walls = [numerical_wall(cfg, v_eff, a) for a in seeds]
-    verticals = {w.line_b for w in walls if w.shape == "vertical"}
-    for _ in range(32):
-        if b0 not in verticals:
-            break
-        b0 -= 1
-    else:
-        raise SectorError("no vertical line avoids every candidate wall")
-    tops = [w.t2_at(b0) for w in walls]
-    t2 = max([Fraction(4)] + [t for t in tops if t is not None]) + 1
-    rv, mv = _charge_parts(cfg, v_eff, b0, t2)
-    e = cfg.h2
-    # w = Im(-conj(charge form)/Z(v)) direction: mv*A - rv*B with
-    # A = Re exp((b+it)H), B = Im exp((b+it)H)/t
-    A = (Fraction(1), b0, Fraction(e, 2) * (b0 * b0 - t2))
-    B = (Fraction(0), Fraction(1), e * b0)
-    w = tuple(mv * A[i] - rv * B[i] for i in range(3))
-    den = lcm(*(x.denominator for x in w))
-    return primitive_vector(basis.int_coords(cfg, MukaiVector(*(int(x * den) for x in w))))
+def _large_volume_limit(cfg: K3Config, v: MukaiVector, basis: NSBasis):
+    """NS rays (l, w) with the large-volume direction -l + eps*w, eps -> 0+.
+
+    With v = (r, c, s) sign-fixed and e = H^2, the charge direction along
+    b = b0 is w(b0, 0) - t^2 (e/2) L with L = (0, r, e c) in v-perp.  Only
+    the part of w(b0, 0) transverse to L is ever read, and L has rank 0,
+    so any class of v-perp with positive rank stands in for it.
+    """
+    r, c, s = lex_sign(v.as_tuple())
+    side = MukaiVector(r, 0, -s) if r else MukaiVector(cfg.h2 * c, s, 0)
+    return (basis.int_coords(cfg, MukaiVector(0, r, cfg.h2 * c)),
+            basis.int_coords(cfg, side))
 
 
 def _null_rays(form: GramForm2) -> list[tuple[int, int]]:
@@ -213,31 +199,34 @@ def _null_rays(form: GramForm2) -> list[tuple[int, int]]:
 def movable_cone(
     cfg: K3Config, v: MukaiVector, candidates: list[WallLattice], basis: NSBasis
 ) -> MovableCone:
-    anchor = _gieseker_anchor(cfg, v, basis, [w.a for w in candidates])
-    # the boundaries are filled in once they are known
-    cone = MovableCone(basis, basis.gram(cfg), anchor, anchor, anchor)
-    assert cone.gram.value(*anchor) > 0
+    gram = basis.gram(cfg)
+    ell, omega = _large_volume_limit(cfg, v, basis)
 
-    # (slope, ray, is_divisorial, is_hc); the null rays carry the extreme
-    # slopes, so one bounds a side only when that side has no divisorial ray
-    rays = []
-    for w in candidates:
-        bn, hc, lgu = w.divisorial
-        if bn or hc or lgu:
-            rays.append((cone.slope(w.ray), cone.orient(w.ray), True, bool(hc)))
-    if any(r[0] == 0 for r in rays):
-        raise SectorError("divisorial ray equals the anchor ray")
-    rays += [(cone.slope(n), cone.orient(n), False, False) for n in _null_rays(cone.gram)]
-    plus = min((r for r in rays if r[0] > 0), key=lambda r: r[0], default=None)
-    minus = max((r for r in rays if r[0] < 0), key=lambda r: r[0], default=None)
+    def limit_sign(f, u):
+        # the sign of f(-l + eps*w, u) as eps -> 0+
+        return -f(ell, u) or f(omega, u)
+
+    # (ray, is_divisorial, is_hc), oriented into the limit's component; the
+    # degenerate walls' rays are the null rays, which lie outermost, so one
+    # bounds a side only when that side has no divisorial ray
+    rays = [
+        (w.ray if limit_sign(gram.pair, w.ray) > 0 else (-w.ray[0], -w.ray[1]),
+         not w.degenerate, bool(w.divisorial[1]))
+        for w in candidates if any(w.divisorial) or w.degenerate
+    ]
+    # counterclockwise order, total on the component; the side is det(limit, u)
+    ccw = cmp_to_key(lambda x, y: det2(y[0], x[0]))
+    plus = min((r for r in rays if limit_sign(det2, r[0]) > 0), key=ccw, default=None)
+    minus = max((r for r in rays if limit_sign(det2, r[0]) < 0), key=ccw, default=None)
     if plus is None or minus is None:
         raise SectorError(
             "no divisorial wall and no rational null ray on one side; "
             "the movable sector cannot be bounded exactly"
         )
     # start at a divisorial boundary, preferring the Hilbert-Chow type
-    start, end = sorted([plus, minus], key=lambda r: (not r[2], not r[3], r[1]))
-    return replace(cone, start=start[1], end=end[1])
+    start, end = sorted([plus, minus], key=lambda r: (not r[1], not r[2], r[0]))
+    anchor = primitive_vector((start[0][0] + end[0][0], start[0][1] + end[0][1]))
+    return MovableCone(basis, gram, anchor, start[0], end[0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Reference scans and checks the tests compare the engine with; the engine never calls them."""
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from k3walls.intmath import (
     cross3,
+    det2,
     kernel_basis_int,
     lex_sign,
     mat_det3,
@@ -12,7 +13,8 @@ from k3walls.intmath import (
 )
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.walls import _normalize_in_basis
+from k3walls.stability import _charge_parts, numerical_wall
+from k3walls.walls import SectorError, _normalize_in_basis, _null_rays
 
 
 def coords_in_basis(
@@ -175,3 +177,64 @@ def divisibility_by_coordinates(v: MukaiVector, d: MukaiVector) -> int:
     det = c1[0] * c2[1] - c1[1] * c2[0]
     assert det.denominator == 1 and det != 0
     return abs(int(det))
+
+
+def charge_direction(cfg: K3Config, v: MukaiVector, b0: Fraction, t2: Fraction):
+    """The Mukai triple m*A - r*B at (b0, t^2), in v-perp, with (r, m) the
+    parts of Z(v), A = Re exp((b0 + it)H) and B = Im exp((b0 + it)H) / t."""
+    rv, mv = _charge_parts(cfg, v, b0, t2)
+    e = cfg.h2
+    A = (Fraction(1), b0, Fraction(e, 2) * (b0 * b0 - t2))
+    B = (Fraction(0), Fraction(1), e * b0)
+    return tuple(mv * A[i] - rv * B[i] for i in range(3))
+
+
+def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
+    """(start, end) of the movable sector around a finite-volume anchor.
+
+    The anchor is the NS ray of the charge direction at b0 = mu(v) - 1 (0
+    for rank 0), moved off every vertical wall, and t^2 above every seed's
+    numerical wall; each side is bounded by its ray of least |slope|
+    det(anchor, u) / q(anchor, u).  Raises the engine's SectorError
+    messages; the engine reads the sector off the large-volume limit.
+    """
+    v_eff = MukaiVector(*lex_sign(v.as_tuple()))
+    b0 = Fraction(v_eff.c, v_eff.r) - 1 if v_eff.r != 0 else Fraction(0)
+    walls = [numerical_wall(cfg, v_eff, w.a) for w in pool]
+    verticals = {w.line_b for w in walls if w.shape == "vertical"}
+    for _ in range(32):
+        if b0 not in verticals:
+            break
+        b0 -= 1
+    else:
+        raise SectorError("no vertical line avoids every candidate wall")
+    tops = [w.t2_at(b0) for w in walls]
+    t2 = max([Fraction(4)] + [t for t in tops if t is not None]) + 1
+    w = charge_direction(cfg, v_eff, b0, t2)
+    den = lcm(*(x.denominator for x in w))
+    anchor = primitive_vector(basis.int_coords(cfg, MukaiVector(*(int(x * den) for x in w))))
+    gram = basis.gram(cfg)
+
+    def orient(ray):
+        return ray if gram.pair(ray, anchor) > 0 else (-ray[0], -ray[1])
+
+    def slope(ray):
+        u = orient(ray)
+        return Fraction(det2(anchor, u), gram.pair(anchor, u))
+
+    rays = [
+        (slope(w.ray), orient(w.ray), True, bool(w.divisorial[1]))
+        for w in pool if any(w.divisorial)
+    ]
+    if any(r[0] == 0 for r in rays):
+        raise SectorError("divisorial ray equals the anchor ray")
+    rays += [(slope(n), orient(n), False, False) for n in _null_rays(gram)]
+    plus = min((r for r in rays if r[0] > 0), key=lambda r: r[0], default=None)
+    minus = max((r for r in rays if r[0] < 0), key=lambda r: r[0], default=None)
+    if plus is None or minus is None:
+        raise SectorError(
+            "no divisorial wall and no rational null ray on one side; "
+            "the movable sector cannot be bounded exactly"
+        )
+    start, end = sorted([plus, minus], key=lambda r: (not r[2], not r[3], r[1]))
+    return start[1], end[1]

@@ -43,10 +43,10 @@ def test_readme_library_example_runs():
 UNLOADED = {
     "central_charge": "the charge Z(x) at (b, t^2) as one value, read by the "
     "stability tests; the engine uses its parts",
-    "moduli_dim": "read by the lattice tests; ROADMAP item 3 computes the "
+    "moduli_dim": "read by the lattice tests; ROADMAP item 5 computes the "
     "base dimensions of the flop strata with it",
-    "transport_check": "read by the transport tests; ROADMAP item 7 runs it "
-    "on the genus ladder",
+    "transport_check": "read by the transport tests; ROADMAP item 4 runs it "
+    "for twist_T on the genus ladder",
     "chain_structure_check": "read by the transport tests; ROADMAP item 7 "
     "runs it on the genus ladder",
 }

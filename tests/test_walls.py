@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,8 +9,22 @@ from k3walls import walls as walls_mod
 from k3walls.intmath import cross3, det2, lex_sign, primitive_vector, vec_content
 from k3walls.lattice import GramForm2, pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
-from k3walls.walls import MovableCone, _candidate_walls, build_wall, default_window
-from oracles import coords_in_basis, wall_by_coordinates
+from k3walls.stability import numerical_wall
+from k3walls.walls import (
+    MovableCone,
+    SectorError,
+    _candidate_walls,
+    _large_volume_limit,
+    build_wall,
+    default_window,
+    movable_cone,
+)
+from oracles import (
+    charge_direction,
+    coords_in_basis,
+    finite_volume_sector,
+    wall_by_coordinates,
+)
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -253,13 +268,25 @@ def test_each_candidate_line_is_built_once(monkeypatch):
         built.append(wall.line.as_tuple())
         return wall
 
+    null_forms = []
+    real_null_rays = walls_mod._null_rays
+
+    def counting_null_rays(form):
+        null_forms.append(form)
+        return real_null_rays(form)
+
     monkeypatch.setattr(walls_mod, "solve_square_with_pairing", counting_solve)
     monkeypatch.setattr(walls_mod, "build_wall", counting_build)
+    monkeypatch.setattr(walls_mod, "_null_rays", counting_null_rays)
     v = mv(3, 1, -7)
     res = enumerate_result(CFG, v)
     assert len(windows) == square(CFG, v) + 1
     assert set(windows) == {2 * default_window(CFG, v)} == {2 * res.window}
     assert len(built) == len(set(built))
+    # the null rays are solved once; the sector reads them off the pool
+    assert len(null_forms) == 1
+    # the sector comes from the large-volume limit, not from stability
+    assert not hasattr(walls_mod, "numerical_wall")
 
 
 def test_each_window_keeps_the_lines_it_reaches():
@@ -356,3 +383,94 @@ def test_build_wall_matches_coordinate_saturation(g, vt, at):
     normal = primitive_vector(cross3(vt, at))
     if not wall.degenerate:
         assert cross3(vt, wall.a.as_tuple()) in (normal, tuple(-x for x in normal))
+
+
+@st.composite
+def positive_vectors(draw):
+    """(cfg, v): genus 2-12 and a primitive v with 0 < v^2 <= 120."""
+    g = draw(st.integers(2, 12))
+    e = 2 * g - 2
+    r, c = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+    if r:
+        # v^2 = e*c^2 - 2*r*s = 2*half
+        half = draw(st.integers(1, 60))
+        assume((e * c * c // 2 - half) % r == 0)
+        s = (e * c * c // 2 - half) // r
+    else:
+        assume(0 < e * c * c <= 120)
+        s = draw(st.integers(-9, 9))
+    assume(vec_content((r, c, s)) == 1)
+    return K3Config(g), mv(r, c, s)
+
+
+def _sector_or_message(sector, *args):
+    try:
+        return sector(*args)
+    except SectorError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_vectors())
+def test_movable_cone_matches_finite_volume_oracle(case):
+    # on both pools of enumerate_result, the large-volume limit bounds the
+    # sector as the finite-volume anchor above every seed's wall does
+    cfg, v = case
+    basis = lambda_basis(cfg, v)
+    window = default_window(cfg, v)
+    cands = _candidate_walls(cfg, v, 2 * window, basis)
+    for win in (window, 2 * window):
+        pool = [w for reach, w in cands.values() if reach <= win]
+        cone = _sector_or_message(movable_cone, cfg, v, pool, basis)
+        got = cone if isinstance(cone, str) else (cone.start, cone.end)
+        assert got == _sector_or_message(finite_volume_sector, cfg, v, pool, basis)
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_vectors(), RATIONALS, st.fractions(min_value=0, max_value=10**6, max_denominator=30))
+def test_charge_direction_is_linear_in_t2(case, b0, t2):
+    # along b = b0 the charge direction is w(b0, 0) - t^2 (e/2) L, L in v-perp
+    cfg, v = case
+    assume(t2 > 0)
+    big = mv(0, v.r, cfg.h2 * v.c)
+    assert pairing(cfg, big, v) == 0
+    w0 = charge_direction(cfg, v, b0, Fraction(0))
+    expected = tuple(x - t2 * Fraction(cfg.h2, 2) * y for x, y in zip(w0, big.as_tuple()))
+    assert charge_direction(cfg, v, b0, t2) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_vectors(), VECTORS, st.integers(-5, 5), st.integers(-9, 9))
+def test_vertical_numerical_walls_lie_at_the_slope(case, at, k, s):
+    # b = mu(v) is the only vertical numerical wall when r != 0; rank 0 has none
+    cfg, v = case
+    for a in (mv(*at), mv(k * v.r, k * v.c, s)):
+        wall = numerical_wall(cfg, v, a)
+        if wall.shape == "vertical":
+            assert v.r != 0 and wall.line_b == Fraction(v.c, v.r)
+    # a class whose rank and degree are proportional to v's, off v's line
+    if v.r != 0 and s != k * v.s:
+        assert numerical_wall(cfg, v, mv(k * v.r, k * v.c, s)).shape == "vertical"
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_vectors(), st.fractions(min_value=0, max_value=20, max_denominator=30))
+def test_large_volume_limit_reads_the_charge_side(case, depth):
+    # for every b0 < mu(v) the stand-in w lies on the side of l where
+    # w(b0, 0) lies, so the limit -l + eps*w is the charge's
+    cfg, v = case
+    assume(depth > 0)
+    vv = mv(*lex_sign(v.as_tuple()))
+    basis = lambda_basis(cfg, v)
+    ell, omega = _large_volume_limit(cfg, v, basis)
+    assert ell == basis.int_coords(cfg, mv(0, vv.r, cfg.h2 * vv.c))
+    b0 = Fraction(vv.c, vv.r) - depth if vv.r else depth - 10
+    w0 = charge_direction(cfg, vv, b0, Fraction(0))
+    den = lcm(*(x.denominator for x in w0))
+    w0_coords = basis.int_coords(cfg, mv(*(int(x * den) for x in w0)))
+    side = det2(omega, ell)
+    assert side != 0
+    assert (side > 0) == (det2(w0_coords, ell) > 0)
