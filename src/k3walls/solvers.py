@@ -9,14 +9,18 @@ solve_square_with_pairing, the candidate search of the rank-three
 lattice: it solves for the wall divisors v^2*a - (a,v)*v on the form of
 v-perp, along the level lines of one coordinate.  The window picks the
 level lines; inside it the solutions come from Pell orbits when that is
-cheaper than testing each level.  Every form here is lattice.GramForm2,
+cheaper than testing each level.  Levels are tested in one sieved search:
+a level whose value is not a square modulo 64, 63, 65 or 11 cannot be a
+square and is dropped, and the rest are confirmed with isqrt, so no
+solution is lost.  Every form here is lattice.GramForm2,
 the engine's one rank-two form (a wall lattice in the basis (v, a), or
 v-perp in its NS basis).
 """
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt
+from itertools import compress
+from math import gcd, isqrt
 
 from .intmath import sqrt_exact, xgcd
 from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
@@ -111,17 +115,14 @@ def level_points(
                 if num % A == 0:
                     out.add((j * x0 + num // A * dx, j * y0 + num // A * dy))
     else:  # null level lines, or Q >= lo
-        for k in levels:
-            if k % g:
-                continue
-            j = k // g
+        for j in _level_indices(levels, g):
             jb = j * b
             if A == 0:
                 # Q - lo = 2*jb*n + j^2*q0 - lo is linear in n
                 const = j * j * q0 - lo
                 if jb == 0:
                     if const == 0:
-                        raise ValueError(f"every point of the level line {k} of {line} solves")
+                        raise ValueError(f"every point of the level line {g * j} of {line} solves")
                     continue
                 ns = [-const // (2 * jb)] if const % (2 * jb) == 0 else []
             else:
@@ -137,42 +138,96 @@ def level_points(
     return sorted(out)
 
 
+def _level_indices(levels, g: int):
+    """The j with g*j in levels (g > 0): a range when levels is one, else a tuple.
+
+    On a range of step s, g*j is a level exactly when j lies in
+    [levels[0]/g, levels[-1]/g] and g*j = levels[0] (mod s), one residue
+    class modulo s/gcd(g, s) or none.
+    """
+    if not isinstance(levels, range):
+        return tuple(k // g for k in levels if k % g == 0)
+    if levels.step < 0:
+        levels = levels[::-1]
+    h = gcd(g, levels.step)
+    if not levels or levels[0] % h:
+        return range(0)
+    period = levels.step // h
+    residue = levels[0] // h * pow(g // h, -1, period) % period
+    first = -(-levels[0] // g)
+    return range(first + (residue - first) % period, levels[-1] // g + 1, period)
+
+
+# x is a square modulo q when _SQUARES_MOD[q][x] is 1; a perfect square is a
+# square modulo every q, and about 1 integer in 119 passes all four moduli
+_SQUARES_MOD = {
+    q: bytes(x in {y * y % q for y in range(q)} for x in range(q)) for q in (64, 63, 65, 11)
+}
+# the sieve's set-up evaluates delta*j^2 + M modulo q at q points per
+# modulus, about as much work as testing that many j with isqrt
+_SIEVE_MIN = sum(_SQUARES_MOD)
+
+
+def _square_points(delta: int, M: int, js) -> list[tuple[int, int]]:
+    """The (j, X), j in js, X >= 0, with X^2 = delta*j^2 + M.
+
+    Every j is confirmed with isqrt.  On a range of at least _SIEVE_MIN
+    values the j for which delta*j^2 + M is not a square modulo one of the
+    moduli of _SQUARES_MOD are dropped first: along j = j0 + s*i the residue
+    modulo q depends only on i mod q, so each modulus costs q evaluations
+    and a byte mask repeated over the range.  The sieve only drops j whose
+    value cannot be a square, so it cannot lose a solution.
+    """
+    n = len(js)
+    if isinstance(js, range) and n >= _SIEVE_MIN:
+        keep = -1
+        for q, squares in _SQUARES_MOD.items():
+            d, m = delta % q, M % q
+            mask = bytes([squares[(d * j * j + m) % q] for j in js[:q]])
+            keep &= int.from_bytes((mask * (n // q + 1))[:n], "little")
+        js = compress(js, keep.to_bytes(n, "little"))
+    out = []
+    for j in js:
+        quarter = delta * j * j + M
+        if quarter >= 0:
+            root = isqrt(quarter)
+            if root * root == quarter:
+                out.append((j, root))
+    return out
+
+
 def _square_levels(delta: int, M: int, levels, g: int) -> set[tuple[int, int]]:
     """The pairs (j, X), X >= 0, with X^2 = delta*j^2 + M and g*j in levels.
 
-    Each level is tested with isqrt, unless Pell orbits are cheaper.  Let
-    delta > 0 not be a square, M != 0 and (t, u) the least Pell unit.  Each
-    class of solutions of X^2 - delta*j^2 = M is +-(X0 + j0*sqrt(delta))
-    times the powers of t + u*sqrt(delta), with 0 <= j0 <=
-    sqrt(|M|*(t+1)/(2*delta)) (Nagell, Introduction to Number Theory,
-    Thm 108 and 108a; for M > 0 this bound is looser than his).  Walks
+    The j of the levels are tested by _square_points, unless Pell orbits
+    are cheaper.  Let delta > 0 not be a square, M != 0 and (t, u) the least
+    Pell unit.  Each class of solutions of X^2 - delta*j^2 = M is
+    +-(X0 + j0*sqrt(delta)) times the powers of t + u*sqrt(delta), with
+    0 <= j0 <= sqrt(|M|*(t+1)/(2*delta)) (Nagell, Introduction to Number
+    Theory, Thm 108 and 108a; for M > 0 this bound is looser than his).  So
+    the orbits are cheaper when fewer j lie under the bound than in the
+    levels; the j under the bound are tested by _square_points too.  Walks
     forward from the four sign choices of (X0, j0) reach the whole class up
     to the sign of j, since conjugation turns a step back into a step
     forward.  Every solution under the bound starts a walk, which stops at
-    the first |j| past the window: along an orbit |j| falls, then rises, so
-    a point a walk could reach after falling back into the window has |j|
+    the first |j| past the levels: along an orbit |j| falls, then rises, so
+    a point a walk could reach after falling back into the levels has |j|
     below its start and starts a walk itself.
     """
-    walk = M != 0 and delta > 0 and isinstance(levels, range) and sqrt_exact(delta) is None
+    js = _level_indices(levels, g)
+    walk = M != 0 and delta > 0 and isinstance(js, range) and sqrt_exact(delta) is None
     if walk:
         t, u = _pell_unit(delta)
         bound = isqrt(abs(M) * (t + 1) // (2 * delta))
-        walk = bound < len(levels)  # never on an empty range, so levels[0] exists
-        reach = max(abs(levels[0]), abs(levels[-1])) // g if walk else 0
+        walk = bound + 1 < len(js)  # never on an empty range, so js[0] exists
+    if not walk:
+        return set(_square_points(delta, M, js))
+    reach = max(abs(js[0]), abs(js[-1]))
     found: set[tuple[int, int]] = set()
-    for j0 in range(bound + 1) if walk else (k // g for k in levels if k % g == 0):
-        quarter = delta * j0 * j0 + M
-        if quarter < 0:
-            continue
-        root = isqrt(quarter)
-        if root * root != quarter:
-            continue
-        if not walk:
-            found.add((j0, root))
-            continue
+    for j0, root in _square_points(delta, M, range(bound + 1)):
         for x, j in ((root, j0), (-root, j0), (root, -j0), (-root, -j0)):
             while abs(j) <= reach:
-                if g * j in levels:
+                if j in js:
                     found.add((j, abs(x)))
                 x, j = t * x + delta * u * j, u * x + t * j
     return found

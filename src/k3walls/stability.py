@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .intmath import frac_floor_sqrt, lex_sign
 from .lattice import K3Config, MukaiVector, square
@@ -146,7 +146,11 @@ class AlignmentFunctional:
     exactly when Re(conj(Z(v)) * Z(x)) > 0.  phi is linear in x, so its
     denominators are cleared once: phi(x) = numerator(x) / den with an
     integer linear form numerator and a fixed integer den > 0 (den is 0
-    when the charge of v vanishes at the point).
+    when the charge of v vanishes at the point).  With b = p/q, t^2 = n/d
+    and v = (r, c, s), the parts of Z(v) are RV/(2q^2 d) and MV/q, so the
+    four coefficients of Re(conj(Z(v)) Z(x)) and |Z(v)|^2, times
+    4q^4 d^2 > 0, are integers; dividing out their content, with den >= 0,
+    gives the unique weights and den.
     """
 
     cfg: K3Config
@@ -158,21 +162,23 @@ class AlignmentFunctional:
 
     def __post_init__(self):
         b, t2 = Fraction(self.b), Fraction(self.t2)
-        e = self.cfg.h2
-        rv, mv = _charge_parts(self.cfg, self.v, b, t2)
-        # Re(conj(Z(v)) Z(x)) = rv*Re(Z(x)) + t2*mv*Im-coeff(Z(x)), per coordinate
-        coeffs = (
-            -rv * Fraction(e, 2) * (b * b - t2) - t2 * mv * e * b,
-            rv * e * b + t2 * mv * e,
-            -rv,
-            rv * rv + t2 * mv * mv,
+        p, q, n, d = b.numerator, b.denominator, t2.numerator, t2.denominator
+        e, (r, c, s) = self.cfg.h2, self.v.as_tuple()
+        b2 = p * p * d - n * q * q  # (b^2 - t^2) q^2 d
+        rv = 2 * e * c * p * q * d - 2 * s * q * q * d - e * r * b2
+        mv = e * (c * q - r * p)
+        # Re(conj(Z(v)) Z(x)) = Re Z(v) Re Z(x) + t^2 Im-coeff Z(v) Im-coeff Z(x),
+        # per coordinate of x, then |Z(v)|^2
+        ints = (
+            -rv * e * b2 - 4 * q * q * d * n * mv * e * p,
+            2 * q * d * rv * e * p + 4 * q**3 * d * n * mv * e,
+            -2 * q * q * d * rv,
+            rv * rv + 4 * q * q * d * n * mv * mv,
         )
-        scale = lcm(*(q.denominator for q in coeffs))
-        ints = [int(q * scale) for q in coeffs]
         content = gcd(*ints) or 1
         if ints[3] < 0:
             content = -content
-        *weights, den = (n // content for n in ints)
+        *weights, den = (k // content for k in ints)
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "den", den)
 

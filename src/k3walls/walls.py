@@ -153,7 +153,11 @@ class MovableCone:
         """Sign-fix a positive-or-null ray into the anchor's component."""
         val = self.gram.pair(ray, self.anchor)
         if val == 0:
-            raise SectorError(f"ray {ray} is orthogonal to the anchor")
+            # in signature (1,1) only negative classes are orthogonal to a timelike one
+            raise AssertionError(
+                f"ray {ray} is orthogonal to the anchor, yet only wall rays (positive "
+                "or null) are oriented and the anchor start + end is timelike"
+            )
         return ray if val > 0 else (-ray[0], -ray[1])
 
     def position(self, ray: tuple[int, int]) -> Fraction | None:

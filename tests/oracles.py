@@ -97,6 +97,44 @@ def exact_level_points_by_isqrt(form, line, levels, lo):
     return sorted(out)
 
 
+def square_levels_by_isqrt(delta, M, levels, g):
+    """solvers._square_levels(delta, M, levels, g), one isqrt per level: the
+    (j, X), X >= 0, with X^2 = delta*j^2 + M and g*j in levels."""
+    out = set()
+    for k in levels:
+        if k % g:
+            continue
+        quarter = delta * (k // g) ** 2 + M
+        root = isqrt(max(quarter, 0))
+        if root * root == quarter:
+            out.add((k // g, root))
+    return out
+
+
+def alignment_weights_by_fractions(cfg: K3Config, v: MukaiVector, b: Fraction, t2: Fraction):
+    """(weights, den) of AlignmentFunctional(cfg, v, b, t2), computed in Q.
+
+    The four coefficients of Re(conj(Z(v)) Z(x)) and |Z(v)|^2 as fractions,
+    scaled by the lcm of their denominators, then divided by their content
+    with den >= 0; the engine scales by 4q^4 d^2 instead.
+    """
+    e = cfg.h2
+    rv, mv = _charge_parts(cfg, v, b, t2)
+    coeffs = (
+        -rv * Fraction(e, 2) * (b * b - t2) - t2 * mv * e * b,
+        rv * e * b + t2 * mv * e,
+        -rv,
+        rv * rv + t2 * mv * mv,
+    )
+    scale = lcm(*(q.denominator for q in coeffs))
+    ints = [int(q * scale) for q in coeffs]
+    content = gcd(*ints) or 1
+    if ints[3] < 0:
+        content = -content
+    *weights, den = (n // content for n in ints)
+    return tuple(weights), den
+
+
 def mat_inverse_unimodular(m):
     """Inverse of an integer matrix with determinant +-1 (adjugate / det)."""
     d = mat_det3(m)

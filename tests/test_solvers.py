@@ -19,7 +19,11 @@ from k3walls.solvers import (
 )
 from k3walls.walls import _candidate_walls, _null_rays, enumerate_result
 
-from oracles import exact_level_points_by_isqrt, lattice_points_in_parallelogram
+from oracles import (
+    exact_level_points_by_isqrt,
+    lattice_points_in_parallelogram,
+    square_levels_by_isqrt,
+)
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -237,6 +241,43 @@ def test_exact_level_points_match_a_per_level_scan(coeffs, line, progression, lo
     assert level_points(form, line, levels, lo, lo) == want
 
 
+CUT = solvers._SIEVE_MIN
+# X^2 = delta*j^2 + M with delta < 0, = 0, a square, or not a square
+DELTAS = st.one_of(st.integers(-40, 40), st.integers(0, 30).map(lambda x: x * x))
+# (first level, step, number of levels), on both sides of the sieve's cut-over
+LEVEL_RANGES = st.builds(
+    lambda start, step, count: range(start, start + step * count, step),
+    st.integers(-3000, 3000),
+    st.integers(-9, 9).filter(bool),
+    st.integers(0, 3 * CUT),
+)
+LEVELS = st.one_of(LEVEL_RANGES, st.lists(st.integers(-400, 400), max_size=8).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
+@given(DELTAS, st.integers(-600, 600), LEVELS, st.integers(1, 9))
+@example(-3, 500, range(-40, 41), 1)  # delta < 0, plain loop
+@example(-7, 10**4, range(-300, 301), 1)  # delta < 0, sieved
+@example(0, 49, range(-250, 250), 1)  # delta = 0: every level solves
+@example(0, 0, range(-600, 600, 3), 1)  # delta = 0 = M: X = 0 throughout
+@example(16, 0, range(-900, 900, 2), 2)  # square delta, M = 0: every level solves
+@example(13, 0, range(-900, 900), 1)  # M = 0: only j = 0
+@example(25, -144, range(-1000, 1000, 3), 2)  # square delta, M < 0
+@example(13, -4, range(-3000, 3000), 1)  # Pell orbits, Nagell scan sieved
+@example(13, 12, range(3000, -3000, -7), 3)  # Pell orbits on a falling range
+@example(5, 4, range(10, 10), 1)  # no levels
+@example(5, 4, range(7, 8), 7)  # one level, one j
+@example(5, 4, range(3, 3 + 5 * 300, 5), 10)  # no level is a multiple of g
+@example(5, 4, (0, 12, -12, 7), 3)  # tuple levels
+@example(0, 1, range(0, CUT - 1), 1)  # one short of the cut-over
+@example(0, 1, range(0, CUT), 1)  # at the cut-over
+def test_square_levels_match_one_isqrt_per_level(delta, M, levels, g):
+    # the sieve only drops j whose value is not a square modulo 64, 63, 65, 11
+    assert solvers._square_levels(delta, M, levels, g) == square_levels_by_isqrt(
+        delta, M, levels, g
+    )
+
+
 def test_pell_unit_matches_sympy():
     diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
     for D in range(2, 501):
@@ -250,6 +291,14 @@ def test_orbits_replace_most_of_the_level_scan(monkeypatch):
     monkeypatch.setattr(solvers, "isqrt", lambda n: calls.append(n) or isqrt(n))
     enumerate_result(K3Config(2), mv(3, 1, -7))
     assert 0 < len(calls) < 40_000
+
+
+def test_sieve_keeps_isqrt_off_most_levels(monkeypatch):
+    # one isqrt per level left after the Pell orbits made 694 851 calls here
+    calls = []
+    monkeypatch.setattr(solvers, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    enumerate_result(K3Config(5), mv(1, 0, -53))
+    assert 0 < len(calls) < 70_000
 
 
 def test_level_points_rejects_unsupported_bounds():

@@ -6,6 +6,7 @@ import pytest
 from k3walls import K3Config, classify, mv
 from k3walls.solvers import gram_of
 from k3walls.stability import (
+    AlignmentFunctional,
     central_charge,
     hole_point,
     holes,
@@ -14,6 +15,7 @@ from k3walls.stability import (
     spherical_members,
 )
 from k3walls.walls import build_wall
+from oracles import alignment_weights_by_fractions
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -154,7 +156,7 @@ def test_alignment_point_none_for_degenerate():
     assert classify(CFG, build_wall(CFG, VM, mv(0, 0, 1))).func is None
 
 
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 small = st.integers(min_value=-9, max_value=9)
 
@@ -206,3 +208,26 @@ def test_integer_phi_matches_charge_ratio(g, r1, c1, s1, r2, c2, s2, bn, bd, tn,
     )
     assert func.phi(x) == expected
     assert func.phi(v) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.tuples(small, small, st.integers(-40, 40)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    st.fractions(min_value=0, max_value=200, max_denominator=40),
+    st.booleans(),
+)
+@example(2, (1, 0, 1), Fraction(1), Fraction(1), True)  # v^2 = -2: its hole is (0, 1)
+def test_integer_functional_matches_the_fraction_one(g, vt, b, t2, at_hole):
+    # weights and den are unique, so scaling by 4q^4 d^2 and by the lcm of
+    # the fractions' denominators must agree; at v's own hole den is 0
+    cfg, v = K3Config(g), mv(*vt)
+    hole = hole_point(cfg, v)
+    if at_hole and hole is not None:
+        b, t2 = hole
+    assume(t2 > 0)
+    func = AlignmentFunctional(cfg, v, b, t2)
+    assert (func.weights, func.den) == alignment_weights_by_fractions(cfg, v, b, t2)
+    if at_hole and hole is not None:
+        assert func.den == 0

@@ -426,6 +426,22 @@ def test_movable_cone_matches_finite_volume_oracle(case):
         assert got == _sector_or_message(finite_volume_sector, cfg, v, pool, basis)
 
 
+@settings(max_examples=60, deadline=None)
+@given(positive_vectors())
+def test_every_wall_ray_pairs_positively_with_the_anchor(case):
+    # orient never meets a ray orthogonal to the anchor: the anchor is
+    # timelike and every wall ray is positive or null
+    cfg, v = case
+    try:
+        res = enumerate_result(cfg, v)
+    except SectorError:
+        assume(False)
+    gram, anchor = res.cone.gram, res.cone.anchor
+    assert gram.value(*anchor) > 0
+    for wall in res.walls:
+        assert gram.value(*wall.ray) >= 0 and gram.pair(wall.ray, anchor) > 0
+
+
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 
 
