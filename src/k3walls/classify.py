@@ -217,28 +217,73 @@ def effective_decompositions(
 
     verdict is classify(cfg, wall): phases are taken at verdict.func, and
     the search compares its integer numerators over its fixed denominator;
-    the atoms come from verdict.split_classes and verdict.spherical.  Each
-    multiset of parts is generated once: the parts come in atom order and
-    the closing complement is never an atom of lower index than the last.
+    the atoms come from verdict.split_classes and verdict.spherical.  The
+    search is memoised on the state (remainder w, first atom index start,
+    parts left room), each solved once.  The tails of a state are w itself
+    as the closing part, when admissible and not an atom of index below
+    start, and each atom of index >= start and smaller phase than w
+    followed by a tail of (w - atom, its index, room - 1); the splittings
+    are the tails of (v, 0, cap) with two parts or more, so each multiset
+    of parts comes once, in atom order.  Every tail of a reachable state
+    ends a distinct splitting, so the memo holds at most (splittings x
+    parts) references.
     """
     func = verdict.func
     if func is None:
         return []
     v = wall.v
     den = func.den
+    h2 = cfg.h2
+    wr, wc, ws = func.weights
+    vr, vc, vs = v.as_tuple()
     atoms = _effective_atoms(func, verdict.split_classes, verdict.spherical)
-    index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
+    keys = [u.as_tuple() for u, _ in atoms]
+    index = {key: i for i, key in enumerate(keys)}
+    steps = [(*key, n) for key, (_, n) in zip(keys, atoms)]
+    memo: dict = {}
+
+    def tails(w, start, room):
+        # the ways to end a split with remainder w, as tuples of triples
+        state = (w, start, room)
+        found = memo.get(state)
+        if found is not None:
+            return found
+        r, c, s = w
+        num = wr * r + wc * c + ws * s
+        found = []
+        # the closing part need not sit in the window; num > 0 excludes w = 0
+        if 0 < num < den and index.get(w, start) >= start:
+            usq = h2 * c * c - 2 * r * s
+            if usq == -2 or (usq >= 0 and h2 * c * vc - r * vs - vr * s > 0):
+                found.append((w,))
+        if room > 1:
+            for i in range(start, len(steps)):
+                ar, ac, as_, n = steps[i]
+                if n < num:
+                    head = (keys[i],)
+                    found += [head + t for t in tails((r - ar, c - ac, s - as_), i, room - 1)]
+        memo[state] = found
+        return found
+
+    splits = [t for t in tails((vr, vc, vs), 0, _max_parts(atoms, den)) if len(t) > 1]
+    splits.sort(key=lambda t: (len(t), t))
+
+    # one class and one phase per distinct part; the atoms keep their classes
+    class_of = {key: u for key, (u, _) in zip(keys, atoms)}
+    phase_of = {}
+    fractions: dict[int, Fraction] = {}
+    for key in {key for t in splits for key in t}:
+        r, c, s = key
+        n = wr * r + wc * c + ws * s
+        if key not in class_of:
+            class_of[key] = MukaiVector(r, c, s)
+        if n not in fractions:
+            fractions[n] = Fraction(n, den)
+        phase_of[key] = fractions[n]
+
     results: list[Decomposition] = []
-
-    def admissible(u: MukaiVector, num: int) -> bool:
-        if not 0 < num < den:
-            return False
-        usq = square(cfg, u)
-        return usq == -2 or (usq >= 0 and pairing(cfg, u, v) > 0)
-
-    def record(split: list[tuple[MukaiVector, int]]):
-        parts = tuple(u for u, _ in split)
-        phases = tuple(Fraction(n, den) for _, n in split)
+    for t in splits:
+        parts = tuple(map(class_of.__getitem__, t))
         refinable = False
         if len(parts) == 2:
             # parts[0] = p*v + q*a, q read off its pairings (integral, as
@@ -248,27 +293,7 @@ def effective_decompositions(
             u = parts[0]
             q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
             refinable = abs(q) > 1
-        results.append(Decomposition(parts, phases, refinable))
-
-    max_parts = _max_parts(atoms, den)
-
-    def extend(start: int, total: MukaiVector, num: int, chosen):
-        # close the split with the complement, which need not sit in the window
-        if chosen:
-            last = v - total
-            if (not last.is_zero and index.get(last.as_tuple(), start) >= start
-                    and admissible(last, den - num)):
-                record(chosen + [(last, den - num)])
-        if len(chosen) + 1 >= max_parts:
-            return
-        for i in range(start, len(atoms)):
-            u, n = atoms[i]
-            if num + n >= den:
-                continue
-            extend(i, total + u, num + n, chosen + [atoms[i]])
-
-    extend(0, MukaiVector(0, 0, 0), 0, [])
-    results.sort(key=lambda d: (len(d.parts), tuple(p.as_tuple() for p in d.parts)))
+        results.append(Decomposition(parts, tuple(map(phase_of.__getitem__, t)), refinable))
     return results
 
 

@@ -103,8 +103,9 @@ def hole_point(cfg: K3Config, s: MukaiVector):
     t2 = Fraction(-square(cfg, s), cfg.h2 * s.r * s.r)
     if t2 <= 0:
         return None
-    re, mu = _charge_parts(cfg, s, b, t2)
-    assert re == 0 and mu == 0
+    # Z(s) = 0 here by algebra: for s = (r, c, d), s^2 = e c^2 - 2rd, Im Z =
+    # e(c - rb) = 0 at b = c/r, and Re Z = e c b - d - (e/2) r (b^2 - t^2)
+    # = e c^2/r - d - e c^2/(2r) - s^2/(2r) = 0 (test_hole_point_charge_vanishes)
     return b, t2
 
 

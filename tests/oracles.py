@@ -11,6 +11,7 @@ from k3walls.intmath import (
     primitive_vector,
     xgcd,
 )
+from k3walls.classify import Decomposition, _effective_atoms, _max_parts
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import orthogonal_line_generator
 from k3walls.stability import _charge_parts, numerical_wall
@@ -276,3 +277,57 @@ def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
         )
     start, end = sorted([plus, minus], key=lambda r: (not r[2], not r[3], r[1]))
     return start[1], end[1]
+
+
+def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
+    """effective_decompositions(cfg, wall, verdict) by the plain prefix search.
+
+    Enumerates every multiset of atoms, in atom order, whose phases stay
+    below 1, and closes each with its complement v - total when that is
+    admissible and not an atom of lower index than the last; the engine
+    solves each (remainder, first atom, parts left) state once instead.
+    """
+    func = verdict.func
+    if func is None:
+        return []
+    v = wall.v
+    den = func.den
+    atoms = _effective_atoms(func, verdict.split_classes, verdict.spherical)
+    index = {u.as_tuple(): i for i, (u, _) in enumerate(atoms)}
+    results = []
+
+    def admissible(u: MukaiVector, num: int) -> bool:
+        if not 0 < num < den:
+            return False
+        usq = square(cfg, u)
+        return usq == -2 or (usq >= 0 and pairing(cfg, u, v) > 0)
+
+    def record(split):
+        parts = tuple(u for u, _ in split)
+        phases = tuple(Fraction(n, den) for _, n in split)
+        refinable = False
+        if len(parts) == 2:
+            u = parts[0]
+            q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
+            refinable = abs(q) > 1
+        results.append(Decomposition(parts, phases, refinable))
+
+    max_parts = _max_parts(atoms, den)
+
+    def extend(start: int, total: MukaiVector, num: int, chosen):
+        if chosen:
+            last = v - total
+            if (not last.is_zero and index.get(last.as_tuple(), start) >= start
+                    and admissible(last, den - num)):
+                record(chosen + [(last, den - num)])
+        if len(chosen) + 1 >= max_parts:
+            return
+        for i in range(start, len(atoms)):
+            u, n = atoms[i]
+            if num + n >= den:
+                continue
+            extend(i, total + u, num + n, chosen + [atoms[i]])
+
+    extend(0, MukaiVector(0, 0, 0), 0, [])
+    results.sort(key=lambda d: (len(d.parts), tuple(p.as_tuple() for p in d.parts)))
+    return results

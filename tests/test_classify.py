@@ -1,6 +1,8 @@
 import importlib
 import sys
 from collections import Counter
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,10 +17,14 @@ from k3walls import (
     survey,
     two_part_splits,
 )
-from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
+from k3walls.classify import DIVISORIAL_HC, _effective_atoms, _max_parts, bundle_descriptor
 from k3walls.lattice import pairing, square
-from k3walls.walls import build_wall
-from oracles import coords_in_basis, lattice_points_in_parallelogram
+from k3walls.walls import SectorError, build_wall
+from oracles import (
+    coords_in_basis,
+    decompositions_by_prefixes,
+    lattice_points_in_parallelogram,
+)
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -143,6 +149,73 @@ def test_phase_sum_on_two_term_splits():
             for a, b, dec in splits(wall):
                 assert a + b == v
                 assert func.phi(a) + func.phi(b) == 1
+
+
+LADDER = [mv(1, 0, -4), mv(0, 2, -1), mv(3, 1, -7), mv(1, 0, -49), mv(5, 2, -9), mv(4, 1, -11)]
+
+
+def test_decompositions_match_the_prefix_search_on_the_ladder():
+    # every flopping wall of the genus-2 ladder, (5,2,-9) and (4,1,-11)
+    # included: the memoised search lists what the plain prefix search
+    # lists, in the same order, with the same phases and flags
+    flops = 0
+    for v in LADDER:
+        for wall in walls_for(v):
+            verdict = classify(CFG, wall)
+            if verdict.is_flopping:
+                flops += 1
+                got = effective_decompositions(CFG, wall, verdict)
+                assert got == decompositions_by_prefixes(CFG, wall, verdict), (v, wall.a)
+    assert flops == 180
+
+
+@lru_cache(maxsize=None)
+def flopping_walls(g, vt):
+    """(wall, verdict) for the flopping walls of enumerate_result, or None on a SectorError."""
+    cfg = K3Config(g)
+    try:
+        walls = enumerate_result(cfg, mv(*vt)).walls
+    except SectorError:
+        return None
+    return [(w, verdict) for w in walls if (verdict := classify(cfg, w)).is_flopping]
+
+
+# primitive v with 0 < v^2 <= 60 over g 2-12
+V_SMALL = st.tuples(st.integers(2, 12), st.integers(-5, 5), st.integers(-3, 3), st.integers(-30, 30)).filter(
+    lambda t: gcd(gcd(t[1], t[2]), t[3]) == 1 and 0 < (2 * t[0] - 2) * t[2] ** 2 - 2 * t[1] * t[3] <= 60
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(V_SMALL)
+def test_decompositions_match_the_prefix_search_across_genus(gv):
+    g, *vt = gv
+    walls = flopping_walls(g, tuple(vt))
+    assume(walls is not None)
+    cfg = K3Config(g)
+    for wall, verdict in walls:
+        assert effective_decompositions(cfg, wall, verdict) == decompositions_by_prefixes(cfg, wall, verdict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(V_SMALL)
+def test_decomposition_invariants_across_genus(gv):
+    # parts sum to v, phases lie in (0, 1) and sum to 1, the part cap
+    # holds and no multiset of parts is listed twice
+    g, *vt = gv
+    walls = flopping_walls(g, tuple(vt))
+    assume(walls is not None)
+    cfg, v = K3Config(g), mv(*vt)
+    for wall, verdict in walls:
+        cap = _max_parts(_effective_atoms(verdict.func, verdict.split_classes, verdict.spherical), verdict.func.den)
+        seen = set()
+        for dec in effective_decompositions(cfg, wall, verdict):
+            assert sum(dec.parts, mv(0, 0, 0)) == v
+            assert sum(dec.phases) == 1 and all(0 < ph < 1 for ph in dec.phases)
+            assert 2 <= len(dec.parts) <= cap
+            multiset = tuple(sorted(p.as_tuple() for p in dec.parts))
+            assert multiset not in seen
+            seen.add(multiset)
 
 
 small = st.integers(-4, 4)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from k3walls import K3Config, classify, mv
+from k3walls.lattice import square
 from k3walls.solvers import gram_of
 from k3walls.stability import (
     AlignmentFunctional,
+    _charge_parts,
     central_charge,
     hole_point,
     holes,
@@ -231,3 +233,20 @@ def test_integer_functional_matches_the_fraction_one(g, vt, b, t2, at_hole):
     assert (func.weights, func.den) == alignment_weights_by_fractions(cfg, v, b, t2)
     if at_hole and hole is not None:
         assert func.den == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.integers(-20, 20).filter(bool),
+    st.integers(-40, 40),
+    st.integers(-200, 200),
+)
+def test_hole_point_charge_vanishes(g, r, c, d):
+    # hole_point returns its closed form unchecked; the charge of every
+    # negative-square class of nonzero rank vanishes there, at t^2 > 0
+    cfg, s = K3Config(g), mv(r, c, d)
+    assume(square(cfg, s) < 0)
+    b, t2 = hole_point(cfg, s)
+    assert t2 > 0
+    assert _charge_parts(cfg, s, b, t2) == (0, 0)
