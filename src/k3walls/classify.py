@@ -32,7 +32,7 @@ class WallVerdict:
     """The verdict on one wall, with the wall data every consumer reads.
 
     func is the phase functional at the point of the generic arc
-    (_select_arc), None on degenerate walls or when no arc is sampled;
+    (_select_arc), None exactly on degenerate walls;
     spherical holds the wall's spherical classes (spherical_members), and
     split_classes its classes u with u^2 >= -2 and 0 < (u, v) <= v^2/2
     (decomposition_solutions, in its order).
@@ -113,23 +113,19 @@ def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     making both the representative and its complement effective.
 
     spherical holds the wall's spherical classes (spherical_members); the
-    wall is not degenerate.
+    wall is not degenerate, so <v, a> is hyperbolic and its orthogonal line,
+    spanned by w0 = pairing_row(v) x pairing_row(a), is positive; as
+    H^2 (beta^2 - 4 alpha gamma) = (w0, w0), the numerical wall has a point.
+    Ties keep the first arc sampled.
     Returns (functional, trigger at that arc, arcs disagree on triggers).
     """
-    cands = alignment_candidates(cfg, wall.v, wall.a, spherical)
-    best = None
-    best_key = None
-    triggers_seen = set()
-    for func in cands:
+    arcs = []
+    for func in alignment_candidates(cfg, wall.v, wall.a, spherical):
         trig = _spherical_trigger(cfg, wall, func, spherical)
-        triggers_seen.add(trig is not None)
         ph = func.phi(wall.a)
-        key = (trig is None, 0 < ph < 1, ph > 0)
-        if best_key is None or key > best_key:
-            best, best_key = (func, trig), key
-    if best is None:
-        return None, None, False
-    return best[0], best[1], len(triggers_seen) > 1
+        arcs.append(((trig is None, 0 < ph < 1, ph > 0), func, trig))
+    _, func, trig = max(arcs, key=lambda arc: arc[0])
+    return func, trig, len({t is None for _, _, t in arcs}) > 1
 
 
 def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:

@@ -63,14 +63,6 @@ class NumericalWall:
         t2 = Fraction(t2)
         return self.alpha * (b * b + t2) + self.beta * b + self.gamma
 
-    def t2_at(self, b) -> Fraction | None:
-        """Positive t^2 on the locus above b, if any."""
-        b = Fraction(b)
-        if self.shape == "semicircle":
-            t2 = self.radius_sq - (b - self.center_b) ** 2
-            return t2 if t2 > 0 else None
-        return None
-
 
 def numerical_wall(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> NumericalWall:
     e = cfg.h2
@@ -207,11 +199,15 @@ def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fractio
 def alignment_candidates(
     cfg: K3Config, v: MukaiVector, a: MukaiVector, spherical
 ) -> list[AlignmentFunctional]:
-    """One rational sample point per arc of the wall of <v, a>.
+    """One rational sample point per arc of the wall of <v, a>, each point once.
 
     The holes of spherical classes of <v, a> all lie on the wall and split
     it into arcs on which the sign data differs; one hole-free point is
-    produced for every arc the search window can see, plus the apex.
+    produced for every arc the search window can see, the apex first
+    unless it is a hole, then the midpoints between breaks in order of
+    first occurrence.  Every point has t^2 > 0, and a midpoint lies strictly
+    between two breaks, so no midpoint is a hole.  The wall has no point
+    exactly when <v, a> is not hyperbolic.
     spherical lists the spherical classes of <v, a> (spherical_members).
     """
     wall = numerical_wall(cfg, v, a)
@@ -224,27 +220,18 @@ def alignment_candidates(
         # radius bound past all of them so no arc goes unsampled
         max_offset = max((abs(b - c) for b, _, _ in hole_list), default=Fraction(0))
         r_lo = _positive_floor_sqrt(r2, exceed=max_offset)
-        breaks = [c - r_lo, c + r_lo]
-        breaks += [b for b, _, _ in hole_list]
-        breaks = sorted(set(breaks))
-        bs = [c] + [(b1 + b2) / 2 for b1, b2 in zip(breaks, breaks[1:])]
-        pts = []
-        for b in bs:
-            t2 = wall.t2_at(b)
-            if t2 is not None:
-                pts.append((b, t2))
+        breaks = sorted({c - r_lo, c + r_lo, *(b for b, _, _ in hole_list)})
+        # the holes lie on the wall, so a hole at b = c is the apex
+        apex = [] if any(b == c for b, _, _ in hole_list) else [c]
+        bs = dict.fromkeys(apex + [(b1 + b2) / 2 for b1, b2 in zip(breaks, breaks[1:])])
+        pts = [(b, r2 - (b - c) ** 2) for b in bs]
     else:
+        # every hole of a vertical wall lies on its line
         b = wall.line_b
-        hole_t2 = sorted(t2 for hb, t2, _ in hole_list if hb == b)
-        breaks = [Fraction(0)] + hole_t2 + [(hole_t2[-1] if hole_t2 else Fraction(0)) + 2]
-        pts = [(b, (u + w) / 2) for u, w in zip(breaks, breaks[1:]) if (u + w) > 0]
-        if not pts:
-            pts = [(b, Fraction(1))]
-    return [
-        AlignmentFunctional(cfg, v, b, t2)
-        for b, t2 in pts
-        if not any(hb == b and ht2 == t2 for hb, ht2, _ in hole_list)
-    ]
+        breaks = [Fraction(0), *sorted(t2 for _, t2, _ in hole_list)]
+        breaks.append(breaks[-1] + 2)
+        pts = [(b, (u + w) / 2) for u, w in zip(breaks, breaks[1:])]
+    return [AlignmentFunctional(cfg, v, b, t2) for b, t2 in pts]
 
 
 @dataclass(frozen=True)

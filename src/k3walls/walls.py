@@ -8,7 +8,13 @@ The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
 one degenerate wall per ray; the others are solved in v-perp with one
 coordinate bounded by a window.  One search at twice the window serves
 both the window and its stability check: the window's rays are those
-whose smallest bounded coordinate (their reach) lies within it.
+whose smallest bounded coordinate (their reach) lies within it, and only
+they are built.  One movable cone is read off the window's rays, and the
+window is stable when no ray of reach in (window, 2*window] meets it: such
+a ray lies beyond a boundary, where it neither moves a side's nearest
+divisorial ray nor passes a side's null ray, so the doubled window keeps
+the same walls; and a ray meeting the sector is kept, or, divisorial and
+nearer the limit, bounds the doubled window's sector and is kept there.
 NS coordinates are read off integer pairings with the NS basis.
 The movable sector is read off Bridgeland's large-volume limit: its NS
 direction is -l + eps*w with eps -> 0+, for two integer rays l and w, so
@@ -59,7 +65,7 @@ class WallLattice:
     line: MukaiVector  # primitive generator of the orthogonal line
     degenerate: bool
     divisorial: tuple[tuple[tuple[int, int], ...], ...]  # (bn, hc, lgu)
-    ray: tuple[int, int] | None = None  # NS coords of the line, set by _candidate_walls
+    ray: tuple[int, int] | None = None  # NS coords of the line, set by enumerate_result
 
     def member(self, p: int, q: int) -> MukaiVector:
         return p * self.v + q * self.a
@@ -246,13 +252,13 @@ def default_window(cfg: K3Config, v: MukaiVector) -> int:
 
 
 def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis):
-    """One wall per NS ray, built once, with the ray's reach, keyed by the ray.
+    """Each NS ray's reach and seed, keyed by the ray; nothing is built.
 
     A seed a keys the ray of v-perp orthogonal to it (the NS coordinates of
     the orthogonal line of <v, a>), read off the pairings of a with the
     basis.  The reach is the smallest |free coordinate| of the ray's seeds
     (0 for a null ray), so a search at any window w <= window finds exactly
-    the rays of reach <= w.
+    the rays of reach <= w; the seed is the first one of that reach.
     """
     vsq = square(cfg, v)
     i = _free_index(v)
@@ -271,15 +277,17 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
         key = lex_sign(primitive_vector((pairing(cfg, basis.e2, a), -pairing(cfg, basis.e1, a))))
         if key not in seeds or t < seeds[key][0]:
             seeds[key] = (t, a)
-    return {
-        key: (reach, replace(build_wall(cfg, v, a), ray=key))
-        for key, (reach, a) in seeds.items()
-    }
+    return seeds
 
 
 def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
     """The wall lattices whose line meets the movable sector, in slope order from
-    the divisorial boundary, with the cone, the window and its stability flag."""
+    the divisorial boundary, with the cone, the window and its stability flag.
+
+    One search at twice the window; the rays within the window are built
+    and bound the sector, and the window is stable when no ray beyond it
+    meets that sector (the module docstring gives the argument).
+    """
     if vec_content(v.as_tuple()) != 1:
         raise ValueError(f"v = {v} must be primitive")
     if square(cfg, v) <= 0:
@@ -287,18 +295,16 @@ def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -
     if window is None:
         window = default_window(cfg, v)
     if window < 1:
-        # the stability pass at twice the window would repeat this one
+        # window 0 doubles to itself: no ray beyond it could test stability
         raise ValueError(f"window must be a positive integer, got {window}")
     basis = lambda_basis(cfg, v)
-    # one search at twice the window; each window's pool is the rays it reaches
-    cands = _candidate_walls(cfg, v, 2 * window, basis)
-    passes = []
-    for win in (window, 2 * window):
-        pool = [w for reach, w in cands.values() if reach <= win]
-        cone = movable_cone(cfg, v, pool, basis)
-        # the rays meeting the sector, with their positions from start to end
-        passes.append((cone, {w.ray: p for w in pool if (p := cone.position(w.ray)) is not None}))
-    (cone, kept), (_, kept2) = passes
-    stable = kept.keys() == kept2.keys()
-    walls = tuple(replace(cands[ray][1], ray=cone.orient(ray)) for ray in sorted(kept, key=kept.get))
+    seeds = _candidate_walls(cfg, v, 2 * window, basis)
+    pool = [replace(build_wall(cfg, v, a), ray=key)
+            for key, (reach, a) in seeds.items() if reach <= window]
+    cone = movable_cone(cfg, v, pool, basis)
+    # the walls whose ray meets the sector, by position from start to end
+    kept = [(p, w) for w in pool if (p := cone.position(w.ray)) is not None]
+    kept.sort(key=lambda pw: pw[0])
+    stable = all(cone.position(key) is None for key, (reach, _) in seeds.items() if reach > window)
+    walls = tuple(replace(w, ray=cone.orient(w.ray)) for _, w in kept)
     return EnumerationResult(walls, cone, window, stable)

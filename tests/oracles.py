@@ -1,4 +1,5 @@
 """Reference scans and checks the tests compare the engine with; the engine never calls them."""
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -13,9 +14,18 @@ from k3walls.intmath import (
 )
 from k3walls.classify import Decomposition, _effective_atoms, _max_parts
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
-from k3walls.nsgeom import orthogonal_line_generator
-from k3walls.stability import _charge_parts, numerical_wall
-from k3walls.walls import SectorError, _normalize_in_basis, _null_rays
+from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
+from k3walls.stability import _charge_parts, _positive_floor_sqrt, holes, numerical_wall
+from k3walls.walls import (
+    EnumerationResult,
+    SectorError,
+    _candidate_walls,
+    _normalize_in_basis,
+    _null_rays,
+    build_wall,
+    default_window,
+    movable_cone,
+)
 
 
 def coords_in_basis(
@@ -247,8 +257,9 @@ def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
         b0 -= 1
     else:
         raise SectorError("no vertical line avoids every candidate wall")
-    tops = [w.t2_at(b0) for w in walls]
-    t2 = max([Fraction(4)] + [t for t in tops if t is not None]) + 1
+    # the positive t^2 of each semicircle above b0
+    tops = [w.radius_sq - (b0 - w.center_b) ** 2 for w in walls if w.shape == "semicircle"]
+    t2 = max([Fraction(4)] + [t for t in tops if t > 0]) + 1
     w = charge_direction(cfg, v_eff, b0, t2)
     den = lcm(*(x.denominator for x in w))
     anchor = primitive_vector(basis.int_coords(cfg, MukaiVector(*(int(x * den) for x in w))))
@@ -331,3 +342,62 @@ def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
     extend(0, MukaiVector(0, 0, 0), 0, [])
     results.sort(key=lambda d: (len(d.parts), tuple(p.as_tuple() for p in d.parts)))
     return results
+
+
+def enumerate_two_pass(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
+    """enumerate_result by two movable-cone passes, every searched ray built.
+
+    Builds a wall for each ray of the search at twice the window, bounds
+    one sector with the rays of reach <= window and one with all of them,
+    and calls the window stable when both keep the same rays; the engine
+    bounds the window's sector once and checks that no ray beyond the
+    window meets it.
+    """
+    if window is None:
+        window = default_window(cfg, v)
+    basis = lambda_basis(cfg, v)
+    cands = {
+        key: (reach, replace(build_wall(cfg, v, a), ray=key))
+        for key, (reach, a) in _candidate_walls(cfg, v, 2 * window, basis).items()
+    }
+    passes = []
+    for win in (window, 2 * window):
+        pool = [w for reach, w in cands.values() if reach <= win]
+        cone = movable_cone(cfg, v, pool, basis)
+        passes.append((cone, {w.ray: p for w in pool if (p := cone.position(w.ray)) is not None}))
+    (cone, kept), (_, kept2) = passes
+    walls = tuple(replace(cands[ray][1], ray=cone.orient(ray)) for ray in sorted(kept, key=kept.get))
+    return EnumerationResult(walls, cone, window, kept.keys() == kept2.keys())
+
+
+def alignment_points_with_repeats(cfg: K3Config, v: MukaiVector, a: MukaiVector, spherical):
+    """The (b, t^2) sample points of alignment_candidates, repeats kept.
+
+    The apex and every midpoint between breaks, filtered on t^2 > 0 and
+    against every hole, with a fallback point on a vertical wall; the
+    engine samples each distinct point once, apex first.
+    """
+    wall = numerical_wall(cfg, v, a)
+    if wall.shape == "empty":
+        return []
+    hole_list = holes(cfg, spherical)
+    if wall.shape == "semicircle":
+        c, r2 = wall.center_b, wall.radius_sq
+        max_offset = max((abs(b - c) for b, _, _ in hole_list), default=Fraction(0))
+        r_lo = _positive_floor_sqrt(r2, exceed=max_offset)
+        breaks = sorted(set([c - r_lo, c + r_lo] + [b for b, _, _ in hole_list]))
+        pts = []
+        for b in [c] + [(b1 + b2) / 2 for b1, b2 in zip(breaks, breaks[1:])]:
+            t2 = r2 - (b - c) ** 2
+            if t2 > 0:
+                pts.append((b, t2))
+    else:
+        b = wall.line_b
+        hole_t2 = sorted(t2 for hb, t2, _ in hole_list if hb == b)
+        breaks = [Fraction(0)] + hole_t2 + [(hole_t2[-1] if hole_t2 else Fraction(0)) + 2]
+        pts = [(b, (u + w) / 2) for u, w in zip(breaks, breaks[1:]) if (u + w) > 0]
+        if not pts:
+            pts = [(b, Fraction(1))]
+    return [
+        (b, t2) for b, t2 in pts if not any(hb == b and ht2 == t2 for hb, ht2, _ in hole_list)
+    ]

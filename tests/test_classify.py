@@ -19,8 +19,10 @@ from k3walls import (
 )
 from k3walls.classify import DIVISORIAL_HC, _effective_atoms, _max_parts, bundle_descriptor
 from k3walls.lattice import pairing, square
+from k3walls.stability import AlignmentFunctional, alignment_candidates, spherical_members
 from k3walls.walls import SectorError, build_wall
 from oracles import (
+    alignment_points_with_repeats,
     coords_in_basis,
     decompositions_by_prefixes,
     lattice_points_in_parallelogram,
@@ -167,6 +169,39 @@ def test_decompositions_match_the_prefix_search_on_the_ladder():
                 got = effective_decompositions(CFG, wall, verdict)
                 assert got == decompositions_by_prefixes(CFG, wall, verdict), (v, wall.a)
     assert flops == 180
+
+
+def ladder_points():
+    """(wall, spherical classes, engine points, reference points) per ladder wall."""
+    for v in LADDER:
+        for wall in walls_for(v):
+            spherical = spherical_members(CFG, v, wall.a)
+            points = [(f.b, f.t2) for f in alignment_candidates(CFG, v, wall.a, spherical)]
+            yield wall, spherical, points, alignment_points_with_repeats(CFG, v, wall.a, spherical)
+
+
+def test_no_arc_point_is_sampled_twice_on_the_ladder():
+    for wall, _, points, _ in ladder_points():
+        assert len(points) == len(set(points)), wall.a
+
+
+def test_arc_sampler_drops_only_repeats_on_the_ladder(monkeypatch):
+    # the engine's points are the reference sampler's in first-occurrence
+    # order, and the first of equal candidates wins, so the verdicts, their
+    # phase points and arc flags are those of the reference sampler
+    classify_mod = importlib.import_module("k3walls.classify")
+    dropped = 0
+    for wall, spherical, points, reference in ladder_points():
+        assert points == list(dict.fromkeys(reference)), wall.a
+        dropped += len(reference) - len(points)
+        verdict = classify(CFG, wall)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify_mod, "alignment_candidates", lambda cfg, v, a, sph: [
+                AlignmentFunctional(cfg, v, b, t2) for b, t2 in alignment_points_with_repeats(cfg, v, a, sph)
+            ])
+            assert classify(CFG, wall) == verdict, wall.a
+        assert (verdict.func is None) == wall.degenerate
+    assert dropped > 0
 
 
 @lru_cache(maxsize=None)

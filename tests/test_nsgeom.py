@@ -137,7 +137,7 @@ def test_chain_transport_under_twist():
 
 CELL_NOT_INVARIANT = pytest.mark.xfail(
     strict=True,
-    reason="reported flop cell is `cells[0]`, not isometry-invariant (ROADMAP item 2)",
+    reason="reported flop cell is `cells[0]`, not isometry-invariant (ROADMAP item 4)",
 )
 
 

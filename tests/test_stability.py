@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from k3walls import K3Config, classify, mv
-from k3walls.lattice import square
+from k3walls.intmath import cross3
+from k3walls.lattice import pairing, square
+from k3walls.nsgeom import pairing_row
 from k3walls.solvers import gram_of
 from k3walls.stability import (
     AlignmentFunctional,
@@ -250,3 +252,45 @@ def test_hole_point_charge_vanishes(g, r, c, d):
     b, t2 = hole_point(cfg, s)
     assert t2 > 0
     assert _charge_parts(cfg, s, b, t2) == (0, 0)
+
+
+@st.composite
+def degenerate_planes(draw):
+    """(cfg, v, a) spanning a plane whose Gram matrix has a null radical.
+
+    n = (p^2, pq, (g - 1) q^2) is isotropic, x is orthogonal to n, and v, a
+    are two independent members of the plane <x, n>.
+    """
+    g = draw(st.integers(2, 12))
+    cfg = K3Config(g)
+    p, q = draw(st.tuples(small, small))
+    assume((p, q) != (0, 0))
+    n = mv(p * p, p * q, (g - 1) * q * q)
+    x = mv(*cross3(pairing_row(cfg, n), draw(st.tuples(small, small, small))))
+    i, j, k, m = draw(st.tuples(small, small, small, small))
+    assume(any(cross3(x.as_tuple(), n.as_tuple())) and i * m - j * k != 0)
+    return cfg, i * x + j * n, k * x + m * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.tuples(small, small, small), st.tuples(small, small, small))
+def test_wall_discriminant_is_the_square_of_the_orthogonal_line(g, vt, at):
+    # H^2 (beta^2 - 4 alpha gamma) = (w0, w0) with w0 spanning the line
+    # orthogonal to <v, a>, which is positive when <v, a> is hyperbolic:
+    # then the numerical wall has a point, so every classified wall samples one
+    cfg, v, a = K3Config(g), mv(*vt), mv(*at)
+    wall = numerical_wall(cfg, v, a)
+    w0 = mv(*cross3(pairing_row(cfg, v), pairing_row(cfg, a)))
+    assert cfg.h2 * (wall.beta**2 - 4 * wall.alpha * wall.gamma) == square(cfg, w0)
+    if square(cfg, v) * square(cfg, a) - pairing(cfg, v, a) ** 2 < 0:
+        assert wall.shape != "empty"
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_planes())
+def test_degenerate_planes_have_empty_numerical_walls(case):
+    cfg, v, a = case
+    assert square(cfg, v) * square(cfg, a) == pairing(cfg, v, a) ** 2
+    wall = numerical_wall(cfg, v, a)
+    assert wall.shape == "empty"
+    assert cfg.h2 * (wall.beta**2 - 4 * wall.alpha * wall.gamma) == 0

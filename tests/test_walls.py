@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +23,7 @@ from k3walls.walls import (
 from oracles import (
     charge_direction,
     coords_in_basis,
+    enumerate_two_pass,
     finite_volume_sector,
     wall_by_coordinates,
 )
@@ -231,8 +233,9 @@ def test_isotropic_walls_come_from_every_null_ray():
     # the classes with a^2 = 0 = (a, v) are multiples of the null rays of
     # v-perp; a window scan of that family misses the ray of (50, 35, 98)
     cfg, v = K3Config(5), mv(5, 3, 7)
-    cands = _candidate_walls(cfg, v, 32, lambda_basis(cfg, v))
-    lines = {w.line.as_tuple() for _, w in cands.values() if w.degenerate}
+    seeds = _candidate_walls(cfg, v, 32, lambda_basis(cfg, v))
+    pool = [build_wall(cfg, v, a) for _, a in seeds.values()]
+    lines = {w.line.as_tuple() for w in pool if w.degenerate}
     assert lines == {(2, 1, 2), (50, 35, 98)}
     # (50, 35, 98) lies outside the movable sector
     assert [w.line.as_tuple() for w in enumerate_result(cfg, v).walls] == [(24, 17, 48), (2, 1, 2)]
@@ -247,16 +250,16 @@ def test_end_ray_sorts_after_every_interior_ray():
 
 
 def test_window_below_one_is_rejected():
-    # the stability pass at twice the window would compare a pass with itself
+    # window 0 doubles to itself, so no ray beyond it could test stability
     for window in (0, -5):
         with pytest.raises(ValueError, match="window"):
             enumerate_result(CFG, VP, window=window)
 
 
 def test_each_candidate_line_is_built_once(monkeypatch):
-    # one solver call per (a^2, (a, v)) family, all at twice the window, and
-    # one build per line over the whole enumeration
-    windows, built = [], []
+    # one solver call per (a^2, (a, v)) family, all at twice the window, one
+    # build per line of reach <= window, and one movable-cone pass
+    windows, built, cones = [], [], []
     real_solve, real_build = walls_mod.solve_square_with_pairing, walls_mod.build_wall
 
     def counting_solve(cfg, v, d, m, window, basis):
@@ -275,14 +278,32 @@ def test_each_candidate_line_is_built_once(monkeypatch):
         null_forms.append(form)
         return real_null_rays(form)
 
+    real_cone = walls_mod.movable_cone
+
+    def counting_cone(*args):
+        cones.append(args)
+        return real_cone(*args)
+
+    # the lines a search at the window itself reaches
+    v = mv(3, 1, -7)
+    basis, window = lambda_basis(CFG, v), default_window(CFG, v)
+    seeds = [
+        a
+        for d in (-2, 0)
+        for m in range(1 if d == 0 else 0, square(CFG, v) // 2 + 1)
+        for a in real_solve(CFG, v, d, m, window, basis)
+    ]
+    seeds += [basis.from_coords(x, y) for x, y in real_null_rays(basis.gram(CFG))]
+    within = {real_build(CFG, v, a).line.as_tuple() for a in seeds}
     monkeypatch.setattr(walls_mod, "solve_square_with_pairing", counting_solve)
     monkeypatch.setattr(walls_mod, "build_wall", counting_build)
     monkeypatch.setattr(walls_mod, "_null_rays", counting_null_rays)
-    v = mv(3, 1, -7)
+    monkeypatch.setattr(walls_mod, "movable_cone", counting_cone)
     res = enumerate_result(CFG, v)
     assert len(windows) == square(CFG, v) + 1
-    assert set(windows) == {2 * default_window(CFG, v)} == {2 * res.window}
-    assert len(built) == len(set(built))
+    assert set(windows) == {2 * window} == {2 * res.window}
+    assert sorted(built) == sorted(within)
+    assert len(cones) == 1
     # the null rays are solved once; the sector reads them off the pool
     assert len(null_forms) == 1
     # the sector comes from the large-volume limit, not from stability
@@ -413,17 +434,42 @@ def _sector_or_message(sector, *args):
 @settings(max_examples=100, deadline=None)
 @given(positive_vectors())
 def test_movable_cone_matches_finite_volume_oracle(case):
-    # on both pools of enumerate_result, the large-volume limit bounds the
-    # sector as the finite-volume anchor above every seed's wall does
+    # on the pools of the window and of twice the window, the large-volume
+    # limit bounds the sector as the finite-volume anchor above every
+    # seed's wall does
     cfg, v = case
     basis = lambda_basis(cfg, v)
     window = default_window(cfg, v)
-    cands = _candidate_walls(cfg, v, 2 * window, basis)
+    seeds = _candidate_walls(cfg, v, 2 * window, basis)
     for win in (window, 2 * window):
-        pool = [w for reach, w in cands.values() if reach <= win]
+        pool = [replace(build_wall(cfg, v, a), ray=key)
+                for key, (reach, a) in seeds.items() if reach <= win]
         cone = _sector_or_message(movable_cone, cfg, v, pool, basis)
         got = cone if isinstance(cone, str) else (cone.start, cone.end)
         assert got == _sector_or_message(finite_volume_sector, cfg, v, pool, basis)
+
+
+WINDOWS = st.sampled_from([1, 2, 3, 5, 8, None])
+
+
+def _enumeration_or_message(enumerate_walls, cfg, v, window):
+    try:
+        res = enumerate_walls(cfg, v, window=window)
+    except SectorError as exc:
+        return str(exc)
+    walls = [(w.a, w.ray, w.line, w.divisorial, w.degenerate) for w in res.walls]
+    return walls, (res.cone.start, res.cone.end, res.cone.anchor), res.window, res.stable
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(positive_vectors(), WINDOWS)
+def test_one_cone_pass_matches_two(case, window):
+    # the window is stable exactly when the doubled window's pass keeps the
+    # same rays, so one pass gives the two-pass walls, cone, flag or error
+    cfg, v = case
+    assert _enumeration_or_message(enumerate_result, cfg, v, window) == _enumeration_or_message(
+        enumerate_two_pass, cfg, v, window
+    )
 
 
 @settings(max_examples=60, deadline=None)
