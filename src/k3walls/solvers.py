@@ -10,16 +10,17 @@ lattice: it solves for the wall divisors v^2*a - (a,v)*v on the form of
 v-perp, along the level lines of one coordinate.  The window picks the
 level lines; inside it the solutions come from Pell orbits when that is
 cheaper than testing each level.  Levels are tested in one sieved search:
-a level whose value is not a square modulo 64, 63, 65 or 11 cannot be a
-square and is dropped, and the rest are confirmed with isqrt, so no
-solution is lost.  Every form here is lattice.GramForm2,
+on a run of at least _SIEVE_MIN levels, a level whose value is not a
+square modulo one of 64, 63, 65, 11, 17, 19, 23 and 29 cannot be a square
+and is dropped, by byte-table translations that cost a few passes in C
+per modulus, not Python work per level.  The rest are confirmed with
+isqrt, so no solution is lost.  Every form here is lattice.GramForm2,
 the engine's one rank-two form (a wall lattice in the basis (v, a), or
 v-perp in its NS basis).
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import compress
 from math import gcd, isqrt
 
 from .intmath import sqrt_exact, xgcd
@@ -158,34 +159,72 @@ def _level_indices(levels, g: int):
     return range(first + (residue - first) % period, levels[-1] // g + 1, period)
 
 
-# x is a square modulo q when _SQUARES_MOD[q][x] is 1; a perfect square is a
-# square modulo every q, and about 1 integer in 119 passes all four moduli
-_SQUARES_MOD = {
-    q: bytes(x in {y * y % q for y in range(q)} for x in range(q)) for q in (64, 63, 65, 11)
-}
-# the sieve's set-up evaluates delta*j^2 + M modulo q at q points per
-# modulus, about as much work as testing that many j with isqrt
-_SIEVE_MIN = sum(_SQUARES_MOD)
+# the sieve's moduli, pairwise coprime: a perfect square is a square modulo
+# every q, and 1 integer in 1 585 is a square modulo all eight
+_MODULI = (64, 63, 65, 11, 17, 19, 23, 29)
+
+
+def _sieve_tables(q: int) -> tuple[bytes, bytes, bytes]:
+    """The sieve's tables of modulus q <= 256: res, and sq and is_square for bytes.translate.
+
+    res[k] = k mod q for k < 256*q, so the slice res[a : a + n*b : b]
+    (0 <= a < q, 0 < b <= q, n <= 256) lists the residues of a + b*i,
+    i < n.  sq[r] = r^2 mod q and is_square[x] = 1 exactly when x is a
+    square modulo q, for r, x < q; the bytes past q are 0.
+    """
+    sq, is_square = bytearray(256), bytearray(256)
+    for r in range(q):
+        sq[r] = r * r % q
+        is_square[sq[r]] = 1
+    return bytes(range(q)) * 256, bytes(sq), bytes(is_square)
+
+
+def _residues(res: bytes, q: int, a: int, b: int, n: int) -> bytes:
+    """The residues modulo q of a + b*i, i < n <= 256, as n bytes of res.
+
+    A step b = 0 mod q strides by q, which repeats the residue of a.
+    """
+    a, b = a % q, b % q or q
+    return res[a : a + n * b : b]
+
+
+_SIEVE = tuple((q, *_sieve_tables(q)) for q in _MODULI)
+# the sieve costs a few slices and translations per modulus, about as much as
+# testing 60 j with isqrt (measured on recorded search ranges, Python 3.11)
+_SIEVE_MIN = 64
 
 
 def _square_points(delta: int, M: int, js) -> list[tuple[int, int]]:
     """The (j, X), j in js, X >= 0, with X^2 = delta*j^2 + M.
 
     Every j is confirmed with isqrt.  On a range of at least _SIEVE_MIN
-    values the j for which delta*j^2 + M is not a square modulo one of the
-    moduli of _SQUARES_MOD are dropped first: along j = j0 + s*i the residue
-    modulo q depends only on i mod q, so each modulus costs q evaluations
-    and a byte mask repeated over the range.  The sieve only drops j whose
+    values the j for which delta*j^2 + M is not a square modulo one of
+    _MODULI are dropped first.  Along j = j0 + s*i the residue modulo q
+    depends only on i mod q, so the mask of the range is that of its
+    first q values, repeated: their residues r, translated by the tables
+    r -> r^2, x -> delta*x + M and is_square.  Each modulus thus costs a
+    few slices and translations of at most 256 bytes, all in C; the masks
+    are ANDed as integers, the search stops once none is left, and only
+    the survivors are visited in Python.  The sieve only drops j whose
     value cannot be a square, so it cannot lose a solution.
     """
     n = len(js)
     if isinstance(js, range) and n >= _SIEVE_MIN:
+        j0, s = js.start, js.step
         keep = -1
-        for q, squares in _SQUARES_MOD.items():
-            d, m = delta % q, M % q
-            mask = bytes([squares[(d * j * j + m) % q] for j in js[:q]])
+        for q, res, sq, is_square in _SIEVE:
+            values = _residues(res, q, j0, s, q).translate(sq)
+            mask = values.translate(_residues(res, q, M, delta, 256)).translate(is_square)
             keep &= int.from_bytes((mask * (n // q + 1))[:n], "little")
-        js = compress(js, keep.to_bytes(n, "little"))
+            if not keep:
+                return []
+        flags = keep.to_bytes(n, "little")
+        survivors = []
+        k = flags.find(1)
+        while k >= 0:
+            survivors.append(j0 + s * k)
+            k = flags.find(1, k + 1)
+        js = survivors
     out = []
     for j in js:
         quarter = delta * j * j + M

@@ -242,16 +242,43 @@ def test_exact_level_points_match_a_per_level_scan(coeffs, line, progression, lo
 
 
 CUT = solvers._SIEVE_MIN
-# X^2 = delta*j^2 + M with delta < 0, = 0, a square, or not a square
-DELTAS = st.one_of(st.integers(-40, 40), st.integers(0, 30).map(lambda x: x * x))
+MODULI = solvers._MODULI
+# X^2 = delta*j^2 + M with delta < 0, = 0, a square, or not a square, or
+# delta = 0 modulo one of the sieve's moduli
+DELTAS = st.one_of(
+    st.integers(-40, 40),
+    st.integers(0, 30).map(lambda x: x * x),
+    st.sampled_from(MODULI).map(lambda q: -q),
+)
+# small steps, and steps = 0 modulo one of the sieve's moduli
+STEPS = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(lambda q, k: k * q, st.sampled_from(MODULI), st.sampled_from([-2, -1, 1, 2])),
+)
 # (first level, step, number of levels), on both sides of the sieve's cut-over
 LEVEL_RANGES = st.builds(
     lambda start, step, count: range(start, start + step * count, step),
     st.integers(-3000, 3000),
-    st.integers(-9, 9).filter(bool),
+    STEPS,
     st.integers(0, 3 * CUT),
 )
 LEVELS = st.one_of(LEVEL_RANGES, st.lists(st.integers(-400, 400), max_size=8).map(tuple))
+
+
+@pytest.mark.parametrize("q, res, sq, is_square", solvers._SIEVE, ids=str)
+def test_sieve_tables_are_the_squares_modulo_each_modulus(q, res, sq, is_square):
+    # the sieve drops a j only when these tables say its value is not a
+    # square modulo q, so a perfect square is never dropped
+    assert q <= 256 and len(sq) == len(is_square) == 256
+    squares = {r * r % q for r in range(q)}
+    assert {x for x in range(256) if is_square[x]} == squares
+    assert list(sq) == [r * r % q for r in range(q)] + [0] * (256 - q)
+    for a in range(q):
+        for b in range(q):  # b = 0: the residue of a, repeated
+            assert list(solvers._residues(res, q, a, b, q)) == [(a + b * i) % q for i in range(q)]
+    # the longest strides the sieve takes: the map x -> b*x + a on 256 bytes
+    for a, b in [(q - 1, b) for b in range(q)] + [(a, 0) for a in range(q)] + [(-7, -3)]:
+        assert list(solvers._residues(res, q, a, b, 256)) == [(a + b * i) % q for i in range(256)]
 
 
 @settings(max_examples=400, deadline=None)
@@ -271,11 +298,28 @@ LEVELS = st.one_of(LEVEL_RANGES, st.lists(st.integers(-400, 400), max_size=8).ma
 @example(5, 4, (0, 12, -12, 7), 3)  # tuple levels
 @example(0, 1, range(0, CUT - 1), 1)  # one short of the cut-over
 @example(0, 1, range(0, CUT), 1)  # at the cut-over
+# delta = 0 = M modulo 11, 17, 19, 23 and 29, steps = 0 modulo 64 and 65:
+# every level solves
+@example(0, (11 * 17 * 19 * 23 * 29) ** 2, range(0, 64 * 65 * 100, 64 * 65), 1)
+@example(64, 9 * 65, range(1000, -1000, -7), 1)  # square delta = 0 mod 64, M = 0 mod 65
+@example(-63, 0, range(-63 * 150, 63 * 150, 63), 1)  # delta = M = step = 0 mod 63
+# CUT levels, fewer than the largest modulus: the mask of 65 is cut short
+@example(-1, 50 * 50, range(-(CUT // 2), CUT - CUT // 2), 1)
 def test_square_levels_match_one_isqrt_per_level(delta, M, levels, g):
-    # the sieve only drops j whose value is not a square modulo 64, 63, 65, 11
+    # the sieve only drops j whose value is not a square modulo one of MODULI
     assert solvers._square_levels(delta, M, levels, g) == square_levels_by_isqrt(
         delta, M, levels, g
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(DELTAS, st.integers(-600, 600), LEVEL_RANGES)
+@example(13, -4, range(3000, -3000, -7))  # falling range, sieved
+@example(-65, 4 * 65 * 65, range(65 * 40, -65 * 40, -65))  # falling, delta = M = step = 0 mod 65
+def test_square_points_match_one_isqrt_per_j(delta, M, js):
+    # _square_levels passes rising ranges only; the sieve takes both directions
+    want = [(j, isqrt(x)) for j in js if (x := delta * j * j + M) >= 0 and isqrt(x) ** 2 == x]
+    assert solvers._square_points(delta, M, js) == want
 
 
 def test_pell_unit_matches_sympy():
@@ -294,11 +338,12 @@ def test_orbits_replace_most_of_the_level_scan(monkeypatch):
 
 
 def test_sieve_keeps_isqrt_off_most_levels(monkeypatch):
-    # one isqrt per level left after the Pell orbits made 694 851 calls here
+    # one isqrt per level left after the Pell orbits made 694 851 calls here,
+    # the sieve modulo 64, 63, 65 and 11 made 15 335, and all eight moduli 1 838
     calls = []
     monkeypatch.setattr(solvers, "isqrt", lambda n: calls.append(n) or isqrt(n))
     enumerate_result(K3Config(5), mv(1, 0, -53))
-    assert 0 < len(calls) < 70_000
+    assert 0 < len(calls) < 4_000
 
 
 def test_level_points_rejects_unsupported_bounds():
