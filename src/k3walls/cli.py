@@ -12,12 +12,12 @@ import sys
 
 from .analysis import survey
 from .classify import classify as classify_wall
-from .intmath import parse_frac
+from .intmath import MAT_IDENTITY, parse_frac
 from .lattice import (
+    Isometry,
     K3Config,
     MukaiVector,
     dual_isometry,
-    identity_isometry,
     pairing,
     reflection_isometry,
     tensor_isometry,
@@ -188,7 +188,7 @@ def run(argv=None) -> int:
         return 0
 
     if args.command == "transform":
-        iso = identity_isometry()
+        iso = Isometry(MAT_IDENTITY)
         chosen = 0
         if args.tstar:
             iso = twist_T(cfg)

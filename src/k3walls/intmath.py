@@ -111,37 +111,6 @@ def mat_det3(m) -> int:
 MAT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def hnf_two_rows(rows) -> list[tuple[int, int, int]]:
-    """Row Hermite form of an integer row span of rank two; deterministic."""
-    work = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(3):
-        nz = [r for r in work if r[col] != 0]
-        zero = [r for r in work if r[col] == 0]
-        if not nz:
-            work = zero
-            continue
-        pivot = nz[0]
-        for r in nz[1:]:
-            while r[col] != 0:
-                if abs(pivot[col]) > abs(r[col]):
-                    pivot[:], r[:] = r[:], pivot[:]
-                q = r[col] // pivot[col]
-                for j in range(3):
-                    r[j] -= q * pivot[j]
-        if pivot[col] < 0:
-            pivot[:] = [-x for x in pivot]
-        basis.append(pivot)
-        work = zero + [r for r in nz[1:] if any(r)]
-    if len(basis) != 2:
-        raise ValueError(f"expected rank two, got rank {len(basis)}")
-    b1, b2 = basis
-    pc = next(j for j in range(3) if b2[j] != 0)
-    q = b1[pc] // b2[pc]
-    b1 = [b1[j] - q * b2[j] for j in range(3)]
-    return [tuple(b1), tuple(b2)]
-
-
 def unit_section(n: tuple[int, int, int]) -> tuple[int, int, int] | None:
     """An integer u with n . u = 1, or None when n is not primitive."""
     n1, n2, n3 = n
@@ -151,21 +120,25 @@ def unit_section(n: tuple[int, int, int]) -> tuple[int, int, int] | None:
 
 
 def kernel_basis_int(n: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Basis of the saturated rank-two lattice {x in Z^3 : n . x = 0}.
+    """Row Hermite basis of the saturated rank-two lattice {x in Z^3 : n . x = 0}.
 
-    Requires n primitive; uses the section u with n . u = 1 and the
-    projection x -> x - (n . x) u, which maps Z^3 onto the kernel.
+    Requires n primitive.  With s*n2 + t*n3 = g = gcd(n2, n3), gcd(n1, g) = 1,
+    so the first coordinates of the kernel are the multiples of g, reached by
+    (g, -n1*s, -n1*t); the kernel rows with first coordinate 0 are the
+    multiples of (0, n3, -n2)/g.  The first row is reduced modulo the pivot
+    of the second; for g = 0 the kernel is x1 = 0.
     """
-    u = unit_section(n)
-    if u is None:
+    if vec_content(n) != 1:
         raise ValueError("normal vector must be primitive")
-    rows = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        dot = n[i]
-        rows.append(tuple(e[j] - dot * u[j] for j in range(3)))
-    return hnf_two_rows(rows)
+    n1, n2, n3 = n
+    s, t, g = xgcd(n2, n3)
+    if g == 0:
+        return [(0, 1, 0), (0, 0, 1)]
+    b1 = (g, -n1 * s, -n1 * t)
+    b2 = lex_sign((0, n3 // g, -n2 // g))
+    p = 1 if b2[1] else 2
+    k = b1[p] // b2[p]
+    return [tuple(x - k * y for x, y in zip(b1, b2)), b2]
 
 
 def frac_str(x) -> str:

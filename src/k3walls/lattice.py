@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmath import MAT_IDENTITY, mat_det3, mat_mul, mat_vec
+from .intmath import mat_det3, mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ def mv(r: int, c: int, s: int) -> MukaiVector:
 
 def pairing(cfg: K3Config, x: MukaiVector, y: MukaiVector) -> int:
     return x.c * y.c * cfg.h2 - x.r * y.s - y.r * x.s
+
+
+def pairing_row(cfg: K3Config, v: MukaiVector) -> tuple[int, int, int]:
+    """Row vector of the functional x -> (x, v) in coordinates (r, c, s)."""
+    return (-v.s, cfg.h2 * v.c, -v.r)
 
 
 def square(cfg: K3Config, x: MukaiVector) -> int:
@@ -128,73 +133,43 @@ def line_bundle_vector(cfg: K3Config, k: int) -> MukaiVector:
     return MukaiVector(1, k, k * k * cfg.h2 // 2 + 1)
 
 
-def tensor_by(cfg: K3Config, k: int, x: MukaiVector) -> MukaiVector:
-    """Multiply by exp(kH): (r, c, s) -> (r, c + kr, s + H^2(kc + k^2 r/2))."""
-    e = cfg.h2
-    return MukaiVector(x.r, x.c + k * x.r, x.s + e * k * x.c + e * k * k * x.r // 2)
-
-
-def reflect_spherical(cfg: K3Config, w: MukaiVector, x: MukaiVector) -> MukaiVector:
-    """Reflection x -> x + (x,w)w at the hyperplane orthogonal to a (-2)-class."""
-    if square(cfg, w) != -2:
-        raise ValueError(f"reflection class must have square -2, got {square(cfg, w)}")
-    return x + pairing(cfg, x, w) * w
-
-
-def dual_vector(x: MukaiVector) -> MukaiVector:
-    """Derived dual on classes: (r, c, s) -> (r, -c, s)."""
-    return MukaiVector(x.r, -x.c, x.s)
-
-
 @dataclass(frozen=True)
 class Isometry:
-    """Lattice isometry carrying a symbolic kind and its 3x3 integer matrix.
+    """Lattice isometry as its 3x3 integer matrix, acting on column vectors (r, c, s)^T."""
 
-    Matrices act on column vectors (r, c, s)^T; equality is matrix equality.
-    """
-
-    kind: str
     matrix: tuple[tuple[int, int, int], ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Isometry) and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     def apply(self, x: MukaiVector) -> MukaiVector:
         return MukaiVector(*mat_vec(self.matrix, x.as_tuple()))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
-        return Isometry(f"{self.kind}*{other.kind}", mat_mul(self.matrix, other.matrix))
+        return Isometry(mat_mul(self.matrix, other.matrix))
 
     @property
     def det(self) -> int:
         return mat_det3(self.matrix)
 
 
-def _matrix_of(fn) -> tuple[tuple[int, int, int], ...]:
-    basis = (MukaiVector(1, 0, 0), MukaiVector(0, 1, 0), MukaiVector(0, 0, 1))
-    cols = [fn(b).as_tuple() for b in basis]
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-
-
-def identity_isometry() -> Isometry:
-    return Isometry("id", MAT_IDENTITY)
-
-
 def tensor_isometry(cfg: K3Config, k: int) -> Isometry:
-    return Isometry(f"tensor({k})", _matrix_of(lambda x: tensor_by(cfg, k, x)))
+    """Multiply by exp(kH): (r, c, s) -> (r, c + kr, s + H^2(kc + k^2 r/2))."""
+    e = cfg.h2
+    return Isometry(((1, 0, 0), (k, 1, 0), (e * k * k // 2, e * k, 1)))
 
 
 def reflection_isometry(cfg: K3Config, w: MukaiVector) -> Isometry:
+    """Reflection x -> x + (x,w)w at the hyperplane orthogonal to a (-2)-class."""
     if square(cfg, w) != -2:
         raise ValueError(f"reflection class must have square -2, got {square(cfg, w)}")
-    return Isometry(f"reflect{w}", _matrix_of(lambda x: reflect_spherical(cfg, w, x)))
+    row = pairing_row(cfg, w)
+    return Isometry(tuple(
+        tuple(int(i == j) + wi * rj for j, rj in enumerate(row))
+        for i, wi in enumerate(w.as_tuple())
+    ))
 
 
 def dual_isometry() -> Isometry:
-    return Isometry("dual", _matrix_of(dual_vector))
+    """Derived dual on classes: (r, c, s) -> (r, -c, s)."""
+    return Isometry(((1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
 def twist_T(cfg: K3Config) -> Isometry:
@@ -203,6 +178,4 @@ def twist_T(cfg: K3Config) -> Isometry:
     Exchanges the support-fibration side and the Hilbert-scheme side of the
     rank-two system; for genus two the matrix is [[0,0,-1],[0,1,2],[-1,-4,-4]].
     """
-    w = line_bundle_vector(cfg, -2)
-    iso = reflection_isometry(cfg, w) @ tensor_isometry(cfg, -2)
-    return Isometry("twist_T", iso.matrix)
+    return reflection_isometry(cfg, line_bundle_vector(cfg, -2)) @ tensor_isometry(cfg, -2)

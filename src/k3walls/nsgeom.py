@@ -17,35 +17,24 @@ from .intmath import (
     primitive_vector,
     vec_content,
 )
-from .lattice import GramForm2, K3Config, MukaiVector, hilbert_n, pairing, square
-
-
-def pairing_row(cfg: K3Config, v: MukaiVector) -> tuple[int, int, int]:
-    """Row vector of the functional x -> (x, v) in coordinates (r, c, s)."""
-    return (-v.s, cfg.h2 * v.c, -v.r)
+from .lattice import GramForm2, K3Config, MukaiVector, hilbert_n, pairing, pairing_row, square
 
 
 @dataclass(frozen=True)
 class NSBasis:
-    """Integral basis (e1, e2) of the rank-two lattice v-perp."""
+    """Integral basis (e1, e2) of the rank-two lattice v-perp, with its Gram form."""
 
     v: MukaiVector
     e1: MukaiVector
     e2: MukaiVector
     labels: tuple[str, str]
-
-    def gram(self, cfg: K3Config) -> GramForm2:
-        return GramForm2(
-            square(cfg, self.e1),
-            pairing(cfg, self.e1, self.e2),
-            square(cfg, self.e2),
-        )
+    gram: GramForm2
 
     def int_coords(self, cfg: K3Config, x: MukaiVector) -> tuple[int, int]:
         """Coordinates of x in v-perp, read off its pairings with the basis."""
         if pairing(cfg, x, self.v) != 0:
             raise ValueError(f"{x} does not lie in v-perp")
-        return self.gram(cfg).coords(pairing(cfg, x, self.e1), pairing(cfg, x, self.e2))
+        return self.gram.coords(pairing(cfg, x, self.e1), pairing(cfg, x, self.e2))
 
     def from_coords(self, x, y) -> MukaiVector:
         return x * self.e1 + y * self.e2
@@ -56,18 +45,19 @@ def lambda_basis(cfg: K3Config, v: MukaiVector) -> NSBasis:
 
     For v = (1, 0, 1-n) the basis is delta = (-1, 0, 1-n) (half the
     exceptional divisor) and H = (0, -1, 0) (the symmetric-product
-    polarization); otherwise a deterministic Hermite-reduced basis.
+    polarization); otherwise the row Hermite basis.
     """
     if vec_content(v.as_tuple()) != 1:
         raise ValueError(f"v = {v} is not primitive")
     if square(cfg, v) <= 0:
         raise ValueError("v must have positive square")
     if v.r == 1 and v.c == 0 and v.s < 0:
-        delta = MukaiVector(-1, 0, v.s)
-        hclass = MukaiVector(0, -1, 0)
-        return NSBasis(v, delta, hclass, ("delta", "H"))
-    b1, b2 = (lex_sign(r) for r in kernel_basis_int(primitive_vector(pairing_row(cfg, v))))
-    return NSBasis(v, MukaiVector(*b1), MukaiVector(*b2), ("e1", "e2"))
+        e1, e2, labels = MukaiVector(-1, 0, v.s), MukaiVector(0, -1, 0), ("delta", "H")
+    else:
+        b1, b2 = kernel_basis_int(primitive_vector(pairing_row(cfg, v)))
+        e1, e2, labels = MukaiVector(*b1), MukaiVector(*b2), ("e1", "e2")
+    gram = GramForm2(square(cfg, e1), pairing(cfg, e1, e2), square(cfg, e2))
+    return NSBasis(v, e1, e2, labels, gram)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def solve_square_with_pairing(
     e1, e2, vt = basis.e1.as_tuple(), basis.e2.as_tuple(), v.as_tuple()
     offset = -m * vt[i]
     levels = range(offset - window * vsq, offset + window * vsq + 1, vsq)
-    form = basis.gram(cfg)
+    form = basis.gram
     norm = vsq * (vsq * d - m * m)
     out: list[MukaiVector] = []
     for x, y in level_points(form, (e1[i], e2[i]), levels, norm, norm):
@@ -82,7 +82,7 @@ def solve_square_with_pairing(
 
 
 def level_points(
-    form: GramForm2, line: tuple[int, int], levels, lo: int, hi: int | None
+    form: GramForm2, line: tuple[int, int], levels: range, lo: int, hi: int | None
 ) -> list[tuple[int, int]]:
     """Integer (p, q) != (0, 0) with l1*p + l2*q in levels and lo <= Q(p, q) <= hi.
 
@@ -139,15 +139,13 @@ def level_points(
     return sorted(out)
 
 
-def _level_indices(levels, g: int):
-    """The j with g*j in levels (g > 0): a range when levels is one, else a tuple.
+def _level_indices(levels: range, g: int) -> range:
+    """The j with g*j in levels (g > 0), as a range.
 
     On a range of step s, g*j is a level exactly when j lies in
     [levels[0]/g, levels[-1]/g] and g*j = levels[0] (mod s), one residue
     class modulo s/gcd(g, s) or none.
     """
-    if not isinstance(levels, range):
-        return tuple(k // g for k in levels if k % g == 0)
     if levels.step < 0:
         levels = levels[::-1]
     h = gcd(g, levels.step)
@@ -194,14 +192,14 @@ _SIEVE = tuple((q, *_sieve_tables(q)) for q in _MODULI)
 _SIEVE_MIN = 64
 
 
-def _square_points(delta: int, M: int, js) -> list[tuple[int, int]]:
+def _square_points(delta: int, M: int, js: range) -> list[tuple[int, int]]:
     """The (j, X), j in js, X >= 0, with X^2 = delta*j^2 + M.
 
-    Every j is confirmed with isqrt.  On a range of at least _SIEVE_MIN
-    values the j for which delta*j^2 + M is not a square modulo one of
-    _MODULI are dropped first.  Along j = j0 + s*i the residue modulo q
-    depends only on i mod q, so the mask of the range is that of its
-    first q values, repeated: their residues r, translated by the tables
+    Every j is confirmed with isqrt.  On at least _SIEVE_MIN values, the j
+    for which delta*j^2 + M is not a square modulo one of _MODULI are
+    dropped first.  Along j = j0 + s*i the residue modulo q depends only
+    on i mod q, so the mask of the range is that of its first q values,
+    repeated: their residues r, translated by the tables
     r -> r^2, x -> delta*x + M and is_square.  Each modulus thus costs a
     few slices and translations of at most 256 bytes, all in C; the masks
     are ANDed as integers, the search stops once none is left, and only
@@ -209,7 +207,7 @@ def _square_points(delta: int, M: int, js) -> list[tuple[int, int]]:
     value cannot be a square, so it cannot lose a solution.
     """
     n = len(js)
-    if isinstance(js, range) and n >= _SIEVE_MIN:
+    if n >= _SIEVE_MIN:
         j0, s = js.start, js.step
         keep = -1
         for q, res, sq, is_square in _SIEVE:
@@ -235,7 +233,7 @@ def _square_points(delta: int, M: int, js) -> list[tuple[int, int]]:
     return out
 
 
-def _square_levels(delta: int, M: int, levels, g: int) -> set[tuple[int, int]]:
+def _square_levels(delta: int, M: int, levels: range, g: int) -> set[tuple[int, int]]:
     """The pairs (j, X), X >= 0, with X^2 = delta*j^2 + M and g*j in levels.
 
     The j of the levels are tested by _square_points, unless Pell orbits
@@ -254,7 +252,8 @@ def _square_levels(delta: int, M: int, levels, g: int) -> set[tuple[int, int]]:
     below its start and starts a walk itself.
     """
     js = _level_indices(levels, g)
-    walk = M != 0 and delta > 0 and isinstance(js, range) and sqrt_exact(delta) is None
+    # a walk needs bound + 1 < len(js), so one level skips the Pell set-up
+    walk = len(js) > 1 and M != 0 and delta > 0 and sqrt_exact(delta) is None
     if walk:
         t, u = _pell_unit(delta)
         bound = isqrt(abs(M) * (t + 1) // (2 * delta))
@@ -296,7 +295,8 @@ def classes_in_rank2(
     """
     if form.q11 <= 0:
         raise ValueError(f"v^2 = {form.q11} is not positive")
-    return level_points(form, (form.q11, form.q12), (pairing_with_v,), d, d)
+    k = pairing_with_v
+    return level_points(form, (form.q11, form.q12), range(k, k + 1), d, d)
 
 
 def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:

@@ -18,35 +18,6 @@ SPHERICAL_SEARCH_BOUND = 24
 
 
 @dataclass(frozen=True)
-class GeomCharge:
-    """Central charge Z = re + i*t*im_coeff at a point with t^2 = t2."""
-
-    re: Fraction
-    im_coeff: Fraction
-    t2: Fraction
-
-    @property
-    def vanishes(self) -> bool:
-        return self.re == 0 and self.im_coeff == 0
-
-
-def central_charge(cfg: K3Config, x: MukaiVector, b, t2) -> GeomCharge:
-    b = Fraction(b)
-    t2 = Fraction(t2)
-    if t2 <= 0:
-        raise ValueError("t^2 must be positive")
-    re, mu = _charge_parts(cfg, x, b, t2)
-    return GeomCharge(re, mu, t2)
-
-
-def _charge_parts(cfg: K3Config, x: MukaiVector, b: Fraction, t2: Fraction):
-    e = cfg.h2
-    re = e * x.c * b - x.s - Fraction(e, 2) * x.r * (b * b - t2)
-    mu = e * (x.c - x.r * b)
-    return re, mu
-
-
-@dataclass(frozen=True)
 class NumericalWall:
     """Alignment locus of Z(v) and Z(a): alpha*(b^2 + t^2) + beta*b + gamma = 0."""
 
@@ -133,7 +104,7 @@ def holes(cfg: K3Config, spherical) -> list[tuple[Fraction, Fraction, MukaiVecto
 
 @dataclass(frozen=True)
 class AlignmentFunctional:
-    """Exact phase-comparison functional at a rational point on a wall.
+    """Exact phase-comparison functional at a rational point (b, t^2 > 0) on a wall.
 
     phi(x) is the real ratio Z(x)/Z(v) there; phi(v) = 1 and phi(x) > 0
     exactly when Re(conj(Z(v)) * Z(x)) > 0.  phi is linear in x, so its
@@ -142,8 +113,8 @@ class AlignmentFunctional:
     when the charge of v vanishes at the point).  With b = p/q, t^2 = n/d
     and v = (r, c, s), the parts of Z(v) are RV/(2q^2 d) and MV/q, so the
     four coefficients of Re(conj(Z(v)) Z(x)) and |Z(v)|^2, times
-    4q^4 d^2 > 0, are integers; dividing out their content, with den >= 0,
-    gives the unique weights and den.
+    4q^4 d^2 > 0, are integers; dividing out their content gives the unique
+    weights and den >= 0.
     """
 
     cfg: K3Config
@@ -155,6 +126,8 @@ class AlignmentFunctional:
 
     def __post_init__(self):
         b, t2 = Fraction(self.b), Fraction(self.t2)
+        if t2 <= 0:
+            raise ValueError("t^2 must be positive")
         p, q, n, d = b.numerator, b.denominator, t2.numerator, t2.denominator
         e, (r, c, s) = self.cfg.h2, self.v.as_tuple()
         b2 = p * p * d - n * q * q  # (b^2 - t^2) q^2 d
@@ -168,9 +141,8 @@ class AlignmentFunctional:
             -2 * q * q * d * rv,
             rv * rv + 4 * q * q * d * n * mv * mv,
         )
+        # no sign to fix: ints[3] = rv^2 + 4q^2 d n mv^2 >= 0, as n, d > 0
         content = gcd(*ints) or 1
-        if ints[3] < 0:
-            content = -content
         *weights, den = (k // content for k in ints)
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "den", den)

@@ -209,7 +209,7 @@ def _null_rays(form: GramForm2) -> list[tuple[int, int]]:
 def movable_cone(
     cfg: K3Config, v: MukaiVector, candidates: list[WallLattice], basis: NSBasis
 ) -> MovableCone:
-    gram = basis.gram(cfg)
+    gram = basis.gram
     ell, omega = _large_volume_limit(cfg, v, basis)
 
     def limit_sign(f, u):
@@ -270,7 +270,7 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
     ]
     # the classes with a^2 = 0 = (a, v) are the multiples of the null rays
     # of v-perp, one degenerate wall per ray, found without a window
-    hits += [(0, basis.from_coords(x, y)) for x, y in _null_rays(basis.gram(cfg))]
+    hits += [(0, basis.from_coords(x, y)) for x, y in _null_rays(basis.gram)]
     # the wall is the saturation of the plane, so any seed of a ray builds it
     seeds: dict[tuple[int, int], tuple[int, MukaiVector]] = {}
     for t, a in hits:

@@ -1,5 +1,5 @@
 """Reference scans and checks the tests compare the engine with; the engine never calls them."""
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -10,12 +10,13 @@ from k3walls.intmath import (
     lex_sign,
     mat_det3,
     primitive_vector,
+    unit_section,
     xgcd,
 )
 from k3walls.classify import Decomposition, _effective_atoms, _max_parts
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
-from k3walls.stability import _charge_parts, _positive_floor_sqrt, holes, numerical_wall
+from k3walls.stability import _positive_floor_sqrt, holes, numerical_wall
 from k3walls.walls import (
     EnumerationResult,
     SectorError,
@@ -122,6 +123,37 @@ def square_levels_by_isqrt(delta, M, levels, g):
     return out
 
 
+@dataclass(frozen=True)
+class GeomCharge:
+    """Central charge Z = re + i*t*im_coeff at a point with t^2 = t2."""
+
+    re: Fraction
+    im_coeff: Fraction
+    t2: Fraction
+
+    @property
+    def vanishes(self) -> bool:
+        return self.re == 0 and self.im_coeff == 0
+
+
+def central_charge(cfg: K3Config, x: MukaiVector, b, t2) -> GeomCharge:
+    """Z(x) against exp((b + it)H) as one value; the engine's
+    AlignmentFunctional clears the denominators of its parts instead."""
+    b = Fraction(b)
+    t2 = Fraction(t2)
+    if t2 <= 0:
+        raise ValueError("t^2 must be positive")
+    re, mu = _charge_parts(cfg, x, b, t2)
+    return GeomCharge(re, mu, t2)
+
+
+def _charge_parts(cfg: K3Config, x: MukaiVector, b: Fraction, t2: Fraction):
+    e = cfg.h2
+    re = e * x.c * b - x.s - Fraction(e, 2) * x.r * (b * b - t2)
+    mu = e * (x.c - x.r * b)
+    return re, mu
+
+
 def alignment_weights_by_fractions(cfg: K3Config, v: MukaiVector, b: Fraction, t2: Fraction):
     """(weights, den) of AlignmentFunctional(cfg, v, b, t2), computed in Q.
 
@@ -164,7 +196,7 @@ def mat_inverse_unimodular(m):
 
 
 def isometry_inverse(iso: Isometry) -> Isometry:
-    return Isometry(f"inv({iso.kind})", mat_inverse_unimodular(iso.matrix))
+    return Isometry(mat_inverse_unimodular(iso.matrix))
 
 
 def preserves_pairing(cfg: K3Config, iso: Isometry) -> bool:
@@ -174,6 +206,55 @@ def preserves_pairing(cfg: K3Config, iso: Isometry) -> bool:
             if pairing(cfg, iso.apply(x), iso.apply(y)) != pairing(cfg, x, y):
                 return False
     return True
+
+
+def hnf_two_rows(rows) -> list[tuple[int, int, int]]:
+    """Row Hermite form of an integer row span of rank two; deterministic."""
+    work = [list(r) for r in rows if any(r)]
+    basis: list[list[int]] = []
+    for col in range(3):
+        nz = [r for r in work if r[col] != 0]
+        zero = [r for r in work if r[col] == 0]
+        if not nz:
+            work = zero
+            continue
+        pivot = nz[0]
+        for r in nz[1:]:
+            while r[col] != 0:
+                if abs(pivot[col]) > abs(r[col]):
+                    pivot[:], r[:] = r[:], pivot[:]
+                q = r[col] // pivot[col]
+                for j in range(3):
+                    r[j] -= q * pivot[j]
+        if pivot[col] < 0:
+            pivot[:] = [-x for x in pivot]
+        basis.append(pivot)
+        work = zero + [r for r in nz[1:] if any(r)]
+    if len(basis) != 2:
+        raise ValueError(f"expected rank two, got rank {len(basis)}")
+    b1, b2 = basis
+    pc = next(j for j in range(3) if b2[j] != 0)
+    q = b1[pc] // b2[pc]
+    b1 = [b1[j] - q * b2[j] for j in range(3)]
+    return [tuple(b1), tuple(b2)]
+
+
+def kernel_basis_by_row_reduction(n: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """kernel_basis_int(n) by row reduction of a spanning set of the kernel.
+
+    With the section u, n . u = 1, the projections e_i - n_i*u of the unit
+    vectors span the kernel, and their row Hermite form is its basis; the
+    engine reads the Hermite basis off one xgcd instead.
+    """
+    u = unit_section(n)
+    if u is None:
+        raise ValueError("normal vector must be primitive")
+    rows = []
+    for i in range(3):
+        e = [0, 0, 0]
+        e[i] = 1
+        rows.append(tuple(e[j] - n[i] * u[j] for j in range(3)))
+    return hnf_two_rows(rows)
 
 
 def _kernel_of_cross(x: MukaiVector, y: MukaiVector):
@@ -263,7 +344,7 @@ def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
     w = charge_direction(cfg, v_eff, b0, t2)
     den = lcm(*(x.denominator for x in w))
     anchor = primitive_vector(basis.int_coords(cfg, MukaiVector(*(int(x * den) for x in w))))
-    gram = basis.gram(cfg)
+    gram = basis.gram
 
     def orient(ray):
         return ray if gram.pair(ray, anchor) > 0 else (-ray[0], -ray[1])

@@ -21,7 +21,6 @@ from k3walls.lattice import (
     dual_isometry,
     line_bundle_vector,
     pairing,
-    reflect_spherical,
     reflection_isometry,
     tensor_isometry,
     twist_T,
@@ -206,7 +205,7 @@ def test_criterion_9_invariants():
         x, y = vecs[i], vecs[i + 1]
         for iso in isos:
             assert pairing(CFG, iso.apply(x), iso.apply(y)) == pairing(CFG, x, y)
-        assert reflect_spherical(CFG, w, reflect_spherical(CFG, w, x)) == x
+        assert reflection_isometry(CFG, w).apply(reflection_isometry(CFG, w).apply(x)) == x
 
     for v, b0 in ((VP, Fraction(-2)), (VM, Fraction(0)), (VM, Fraction(-1, 3))):
         classes = [wl.a for wl in enumerate_result(CFG, v).walls]

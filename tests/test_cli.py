@@ -77,12 +77,14 @@ def test_json_schema_fields(capsys):
     assert doc["window_stable"] is True
 
 
-def test_csv_outputs():
+def test_csv_outputs(capsys):
     doc = walls_document_from_survey(survey(CFG, mv(1, 0, -4)))
     text = render_walls_csv(doc)
     lines = text.strip().split("\n")
     assert lines[0].startswith("i,a,a2,av,kind,tss,D,qD,div,R,qR,r,locus")
     assert len(lines) == 7
+    code, out, _ = invoke(capsys, "walls", "--genus", "2", "--v", "1,0,-4", "--format", "csv")
+    assert code == 0 and out == text
     pdoc = path_document(CFG, mv(1, 0, -4), -2)
     plines = render_path_csv(pdoc).strip().split("\n")
     assert plines[0] == "wall,t2,t,approx,hole"
@@ -98,6 +100,8 @@ def test_path_with_t_min(capsys):
     doc = json.loads(out)
     assert [c["t2"] for c in doc["crossings"]] == ["3/2"]
     assert doc["crossings"][0]["hole"] is None
+    code, out, err = invoke(capsys, "path", "--genus", "2", "--v", "0,2,-1", "--t-min", "1")
+    assert code == 1 and out == "" and "--b is required" in err
 
 
 def test_path_range_excludes_hole(capsys):
@@ -119,12 +123,21 @@ def test_transform_commands(capsys):
     assert out == "[0, 0, -1]\n[0, 1, 2]\n[-1, -4, -4]\n"
     code, out, _ = invoke(capsys, "transform", "--tensor", "0", "--v", "7,-3,2")
     assert code == 0 and out.strip() == "7,-3,2"
+    code, out, _ = invoke(capsys, "transform", "--dual", "--v", "1,2,3")
+    assert code == 0 and out == "1,-2,3\n"
+    code, out, _ = invoke(capsys, "transform", "--reflect", "1,-2,5", "--v", "1,0,0")
+    assert code == 0 and out == "-4,10,-25\n"
 
 
 def test_transform_rejects_bad_reflection(capsys):
     code, _, err = invoke(capsys, "transform", "--reflect", "1,0,0", "--v", "0,1,0")
     assert code == 1
     assert "square -2" in err
+    # one operation at a time, and at least one
+    code, out, err = invoke(capsys, "transform", "--tstar", "--dual", "--v", "1,0,0")
+    assert code == 1 and out == "" and "choose one of" in err
+    code, out, err = invoke(capsys, "transform", "--v", "1,0,0")
+    assert code == 1 and out == "" and "no operation requested" in err
 
 
 def test_zero_vector_is_usage_error(capsys):
@@ -135,6 +148,10 @@ def test_zero_vector_is_usage_error(capsys):
 def test_bad_vector_is_usage_error(capsys):
     code, _, err = invoke(capsys, "walls", "--v", "1,2")
     assert code == 1
+    code, out, err = invoke(capsys, "walls", "--v", "1,x,0")
+    assert code == 1 and out == "" and "bad vector '1,x,0'" in err
+    code, out, err = invoke(capsys, "walls")
+    assert code == 1 and out == "" and "--v is required" in err
 
 
 def test_strict_escalates_unstable_window(capsys):
@@ -149,6 +166,12 @@ def test_strict_escalates_unstable_window(capsys):
         capsys, "walls", "--genus", "2", "--v", "1,0,-4", "--window", "2"
     )
     assert code == 0  # warning only without --strict
+    code, out, _ = invoke(
+        capsys, "path", "--genus", "2", "--v", "1,0,-4", "--b", "-2", "--window", "2",
+        "--strict", "--format", "json",
+    )
+    assert code == 2
+    assert json.loads(out)["window_stable"] is False
 
 
 def test_window_below_one_is_usage_error(capsys):
@@ -211,6 +234,10 @@ def test_config_file_precedence(tmp_path, capsys):
     # flags win over the file
     code, out, _ = invoke(capsys, "walls", "--config", str(cfg_file), "--v", "0,2,-1")
     assert json.loads(out)["v"] == [0, 2, -1]
+    # blank lines and comments are skipped
+    cfg_file.write_text("# the Hilbert side\n\nv = 1,0,-4  # n = 5\nformat = json\n")
+    code, out, _ = invoke(capsys, "walls", "--config", str(cfg_file))
+    assert code == 0 and json.loads(out)["v"] == [1, 0, -4]
 
 
 def test_config_file_values_are_checked(tmp_path, capsys):
@@ -226,6 +253,10 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     cfg_file.write_text("v = 1,0,-4\nwindow = 4k\n")
     code, out, err = invoke(capsys, "walls", "--config", str(cfg_file))
     assert code == 1 and out == "" and "window" in err and "4k" in err
+    # a line without "=" is named
+    cfg_file.write_text("v = 1,0,-4\nwindow 4\n")
+    code, out, err = invoke(capsys, "walls", "--config", str(cfg_file))
+    assert code == 1 and out == "" and "bad config line: 'window 4'" in err
     # a missing file is a usage error, not a traceback
     code, out, err = invoke(capsys, "walls", "--config", str(tmp_path / "none.cfg"))
     assert code == 1 and out == "" and err.startswith("error: ") and "none.cfg" in err

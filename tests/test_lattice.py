@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3walls import K3Config, mv
+from k3walls.intmath import MAT_IDENTITY
 from k3walls.lattice import (
     GramForm2,
     dual_isometry,
     hilbert_n,
-    identity_isometry,
     line_bundle_vector,
     moduli_dim,
     pairing,
-    reflect_spherical,
     reflection_isometry,
     square,
-    tensor_by,
     tensor_isometry,
     twist_T,
 )
@@ -76,15 +74,15 @@ def test_hilbert_n():
 
 
 def test_tensor_matrix_minus_two():
-    assert tensor_by(CFG, -2, mv(1, 0, 0)) == mv(1, -2, 4)
-    assert tensor_by(CFG, -2, mv(0, 0, 1)) == mv(0, 0, 1)
-    assert tensor_by(CFG, -2, mv(0, 1, 0)) == mv(0, 1, -4)
+    assert tensor_isometry(CFG, -2).apply(mv(1, 0, 0)) == mv(1, -2, 4)
+    assert tensor_isometry(CFG, -2).apply(mv(0, 0, 1)) == mv(0, 0, 1)
+    assert tensor_isometry(CFG, -2).apply(mv(0, 1, 0)) == mv(0, 1, -4)
     assert tensor_isometry(CFG, -2).matrix == ((1, 0, 0), (-2, 1, 0), (4, -4, 1))
 
 
 def test_tensor_identity_and_isometry():
     x = mv(3, -5, 7)
-    assert tensor_by(CFG, 0, x) == x
+    assert tensor_isometry(CFG, 0).apply(x) == x
     for k in (-3, -1, 1, 4):
         iso = tensor_isometry(CFG, k)
         assert preserves_pairing(CFG, iso)
@@ -94,12 +92,12 @@ def test_tensor_identity_and_isometry():
 def test_reflection():
     w = mv(1, -2, 5)
     assert square(CFG, w) == -2
-    assert reflect_spherical(CFG, w, mv(1, 0, 0)) == mv(-4, 10, -25)
-    assert reflect_spherical(CFG, w, w) == -w
+    assert reflection_isometry(CFG, w).apply(mv(1, 0, 0)) == mv(-4, 10, -25)
+    assert reflection_isometry(CFG, w).apply(w) == -w
     # matrix-column cross-check of a derived value
-    assert reflect_spherical(CFG, w, mv(0, 1, 2)) == mv(-6, 13, -28)
+    assert reflection_isometry(CFG, w).apply(mv(0, 1, 2)) == mv(-6, 13, -28)
     with pytest.raises(ValueError):
-        reflect_spherical(CFG, mv(1, 0, 0), mv(0, 1, 0))
+        reflection_isometry(CFG, mv(1, 0, 0)).apply(mv(0, 1, 0))
 
 
 def test_reflection_matrix():
@@ -116,7 +114,7 @@ def test_reflection_involution_randomized():
     w = mv(1, -2, 5)
     for _ in range(200):
         x = mv(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(-30, 30))
-        assert reflect_spherical(CFG, w, reflect_spherical(CFG, w, x)) == x
+        assert reflection_isometry(CFG, w).apply(reflection_isometry(CFG, w).apply(x)) == x
 
 
 def test_twist_matrix_and_action():
@@ -124,7 +122,7 @@ def test_twist_matrix_and_action():
     assert T.matrix == ((0, 0, -1), (0, 1, 2), (-1, -4, -4))
     assert T.apply(mv(0, 2, -1)) == mv(1, 0, -4)
     assert T.apply(mv(-2, 1, -1)) == mv(1, -1, 2)
-    assert (isometry_inverse(T) @ T).matrix == identity_isometry().matrix
+    assert (isometry_inverse(T) @ T).matrix == MAT_IDENTITY
 
 
 TABLE_PAIRS = [

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import K3Config, enumerate_result, mv, survey
 from k3walls.analysis import chain_structure_check, transport_check
-from k3walls.intmath import cross3, vec_content
+from k3walls.intmath import cross3, kernel_basis_int, vec_content
 from k3walls.lattice import (
     GramForm2,
     hilbert_n,
@@ -17,7 +18,7 @@ from k3walls.lattice import (
     twist_T,
 )
 from k3walls.nsgeom import combo_str, curve_class, divisibility, lambda_basis, wall_divisor
-from oracles import coords_in_basis, divisibility_by_coordinates
+from oracles import coords_in_basis, divisibility_by_coordinates, kernel_basis_by_row_reduction
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -29,18 +30,43 @@ def test_lambda_basis_hilbert_convention():
     assert basis.labels == ("delta", "H")
     assert basis.e1 == mv(-1, 0, -4)
     assert basis.e2 == mv(0, -1, 0)
-    assert basis.gram(CFG) == GramForm2(-8, 0, 2)
+    assert basis.gram == GramForm2(-8, 0, 2)
 
 
 def test_lambda_basis_general():
     basis = lambda_basis(CFG, VM)
     for e in (basis.e1, basis.e2):
         assert pairing(CFG, e, VM) == 0
-    assert basis.gram(CFG).disc_prime == 16  # same discriminant as the Hilbert side
+    assert basis.gram.disc_prime == 16  # same discriminant as the Hilbert side
     with pytest.raises(ValueError):
         lambda_basis(CFG, mv(2, 0, -8))
     with pytest.raises(ValueError):
         lambda_basis(CFG, mv(1, 0, 1))
+
+
+def _check_kernel_basis(n):
+    if vec_content(n) != 1:
+        with pytest.raises(ValueError, match="primitive"):
+            kernel_basis_int(n)
+        return
+    b1, b2 = kernel_basis_int(n)
+    assert [b1, b2] == kernel_basis_by_row_reduction(n)
+    # a basis of the saturated kernel: both rows solve n . x = 0, and their
+    # cross product, the index-weighted normal, is +-n
+    assert all(sum(x * y for x, y in zip(n, b)) == 0 for b in (b1, b2))
+    assert cross3(b1, b2) in (n, tuple(-x for x in n))
+
+
+def test_kernel_basis_matches_the_row_reduction_on_small_normals():
+    # every n in [-6, 6]^3; the non-primitive ones raise
+    for n in product(range(-6, 7), repeat=3):
+        _check_kernel_basis(n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(-30, 30), st.integers(-10**9, 10**9))] * 3))
+def test_kernel_basis_matches_the_row_reduction(n):
+    _check_kernel_basis(n)
 
 
 # expected wall table on the Hilbert side: (D in (H, delta)-coefficients,

@@ -201,12 +201,18 @@ def test_level_points_match_box_scan(coeffs, line, levels, lo, equality):
     hi = lo if equality else None
     # the form is non-degenerate, so a null level line solves Q = lo
     # throughout only through the origin, and only for lo = 0
+    # level_points takes a range of levels, so the set is passed one level at a time
+    per_level = [range(k, k + 1) for k in sorted(levels)]
     if (not equality and A >= 0) or (A == 0 and lo == 0 and 0 in levels):
         with pytest.raises(ValueError):
-            level_points(form, line, levels, lo, hi)
+            for one in per_level or [range(0)]:
+                level_points(form, line, one, lo, hi)
         return
-    got = level_points(form, line, levels, lo, hi)
-    assert got == sorted(set(got))
+    got = []
+    for one in per_level:
+        part = level_points(form, line, one, lo, hi)
+        assert part == sorted(set(part))
+        got += part
     for p, q in got:
         assert (p, q) != (0, 0) and l1 * p + l2 * q in levels
         assert form.value(p, q) == lo if equality else form.value(p, q) >= lo
@@ -306,10 +312,11 @@ def test_sieve_tables_are_the_squares_modulo_each_modulus(q, res, sq, is_square)
 # CUT levels, fewer than the largest modulus: the mask of 65 is cut short
 @example(-1, 50 * 50, range(-(CUT // 2), CUT - CUT // 2), 1)
 def test_square_levels_match_one_isqrt_per_level(delta, M, levels, g):
-    # the sieve only drops j whose value is not a square modulo one of MODULI
-    assert solvers._square_levels(delta, M, levels, g) == square_levels_by_isqrt(
-        delta, M, levels, g
-    )
+    # the sieve only drops j whose value is not a square modulo one of MODULI;
+    # _square_levels takes a range, so a tuple of levels is passed one level at a time
+    ranges = [levels] if isinstance(levels, range) else [range(k, k + 1) for k in levels]
+    got = set().union(*(solvers._square_levels(delta, M, one, g) for one in ranges))
+    assert got == square_levels_by_isqrt(delta, M, levels, g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -451,6 +458,6 @@ def test_reach_filter_matches_a_direct_search(g, vt, window):
         for m in range(1 if d == 0 else 0, vsq // 2 + 1)
         for a in solve_square_with_pairing(cfg, v, d, m, window, basis)
     ]
-    hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram(cfg))]
+    hits += [basis.from_coords(x, y) for x, y in _null_rays(basis.gram)]
     direct = {lex_sign(basis.int_coords(cfg, orthogonal_line_generator(cfg, v, a))) for a in hits}
     assert {key for key, (reach, _) in cands.items() if reach <= window} == direct

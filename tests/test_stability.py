@@ -5,13 +5,10 @@ import pytest
 
 from k3walls import K3Config, classify, mv
 from k3walls.intmath import cross3
-from k3walls.lattice import pairing, square
-from k3walls.nsgeom import pairing_row
+from k3walls.lattice import pairing, pairing_row, square
 from k3walls.solvers import gram_of
 from k3walls.stability import (
     AlignmentFunctional,
-    _charge_parts,
-    central_charge,
     hole_point,
     holes,
     numerical_wall,
@@ -19,7 +16,7 @@ from k3walls.stability import (
     spherical_members,
 )
 from k3walls.walls import build_wall
-from oracles import alignment_weights_by_fractions
+from oracles import _charge_parts, alignment_weights_by_fractions, central_charge
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -45,6 +42,12 @@ def test_central_charge_values():
     assert zero.re == 0 and zero.im_coeff == 0
     with pytest.raises(ValueError):
         central_charge(CFG, VP, 0, 0)
+
+
+def test_alignment_functional_needs_positive_t2():
+    for t2 in (0, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="positive"):
+            AlignmentFunctional(CFG, VP, -2, t2)
 
 
 def test_central_charge_additive():

@@ -182,7 +182,7 @@ def _brute_mov_rays(v, bound=12, cfg=CFG, window=None):
 def _seed_from_line(v, line, cfg=CFG):
     """Any lattice class independent of v inside the orthogonal plane of line."""
     from k3walls.intmath import kernel_basis_int
-    from k3walls.nsgeom import pairing_row
+    from k3walls.lattice import pairing_row
 
     row = primitive_vector(pairing_row(cfg, mv(*line)))
     b1, b2 = kernel_basis_int(row)
@@ -293,7 +293,7 @@ def test_each_candidate_line_is_built_once(monkeypatch):
         for m in range(1 if d == 0 else 0, square(CFG, v) // 2 + 1)
         for a in real_solve(CFG, v, d, m, window, basis)
     ]
-    seeds += [basis.from_coords(x, y) for x, y in real_null_rays(basis.gram(CFG))]
+    seeds += [basis.from_coords(x, y) for x, y in real_null_rays(basis.gram)]
     within = {real_build(CFG, v, a).line.as_tuple() for a in seeds}
     monkeypatch.setattr(walls_mod, "solve_square_with_pairing", counting_solve)
     monkeypatch.setattr(walls_mod, "build_wall", counting_build)
