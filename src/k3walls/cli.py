@@ -239,8 +239,6 @@ def run(argv=None) -> int:
         out.write(f"{pairing(cfg, x, y)}\n")
         return 0
 
-    raise UsageError(f"unknown command {args.command!r}")
-
 
 def _render(doc, fmt, table_fn, csv_fn) -> str:
     if fmt == "json":

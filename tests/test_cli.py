@@ -1,10 +1,15 @@
 import json
 import pathlib
+import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from k3walls import K3Config, mv, survey
 from k3walls.cli import main, parse_vector, run
+from k3walls.lattice import square
 from k3walls.report import (
     path_document,
     render_json,
@@ -52,6 +57,13 @@ def test_json_golden_schema_frozen(capsys):
     assert out == (GOLDEN / "walls_g2_1_0_m4.json").read_text()
 
 
+def test_unknown_subcommand_is_usage_error(capsys):
+    # argparse rejects any other command before run() dispatches
+    code, out, err = invoke(capsys, "bogus")
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument command: invalid choice: 'bogus'") and err.count("\n") == 1
+
+
 def test_bad_genus_is_usage_error(capsys):
     code, _, err = invoke(capsys, "walls", "--genus", "1", "--v", "1,0,-4")
     assert code == 1 and "genus" in err
@@ -62,6 +74,58 @@ def test_json_round_trip():
     assert json.loads(render_json(doc)) == doc
     pdoc = path_document(CFG, mv(1, 0, -4), -2)
     assert json.loads(render_json(pdoc)) == pdoc
+
+
+# quotes, backslashes, control characters, non-ASCII in and beyond the BMP
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x08\x0c\n\r\t\x1f\x7f az09é中\u2028😀'))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | JSON_TEXT
+    # short lists of small ints and bools repeat, as atoms do in decompositions
+    | st.lists(st.integers(-2, 2) | st.booleans(), max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=5))
+@example({"x": [1, True]})
+@example({"x": [[1, 1], [1, True]]})
+@example({"x": [[0], [False]]})
+@example({"x": [], "y": {}, "z": [[], {}, [[]], [{}], {"w": {}}]})
+@example({})
+def test_render_json_is_json_dumps_byte_for_byte(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"x": Fraction(1, 2)}, {"x": 0.5}, {"x": (1, 2)}, {1: "x"}, {"x": [1, 0.5]}, {"x": [{True: 1}]}],
+)
+def test_render_json_rejects_values_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        render_json(doc)
+
+
+def test_documents_render_as_json_dumps_across_genus():
+    # the walls document and one path document of each vector in a seeded
+    # sample over g 2-12, with the ladder's (5,2,-9)
+    rng = random.Random("render_json")
+    sample = [(CFG, mv(5, 2, -9))]
+    while len(sample) < 13:
+        cfg = K3Config(rng.randint(2, 12))
+        r, c, s = rng.randint(-5, 5), rng.randint(-3, 3), rng.randint(-30, 30)
+        if gcd(gcd(r, c), s) == 1 and 0 < square(cfg, mv(r, c, s)) <= 60:
+            sample.append((cfg, mv(r, c, s)))
+    for cfg, v in sample:
+        # b = -1/97 lies on no vertical wall of the sample
+        for doc in (walls_document_from_survey(survey(cfg, v)), path_document(cfg, v, Fraction(-1, 97))):
+            assert render_json(doc) == json.dumps(doc, indent=2) + "\n", (cfg.genus, v, doc["report"])
 
 
 def test_json_schema_fields(capsys):
