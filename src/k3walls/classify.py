@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import K3Config, MukaiVector, pairing, square
+from .lattice import K3Config, MukaiVector, moduli_dim, pairing, square
 from .solvers import decomposition_solutions
 from .stability import AlignmentFunctional, alignment_candidates, spherical_members
 from .walls import WallLattice
@@ -64,14 +64,14 @@ class BundleDescriptor:
 
     Generically a P^r-bundle over the product of the two moduli factors;
     factors of dimension zero are single points (rigid spherical classes).
+    The locus has dimension sum(base_dims) + fiber_dim and codimension
+    fiber_dim.
     """
 
     a: MukaiVector
     b: MukaiVector
     fiber_dim: int
     base_dims: tuple[int, int]
-    total_dim: int
-    codim: int
 
     def describe(self) -> str:
         factors = []
@@ -87,9 +87,7 @@ def bundle_descriptor(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> BundleDe
     r = pairing(cfg, b, a) - 1
     if r < 1:
         raise ValueError(f"fiber dimension {r} < 1: not a flop cell")
-    da, db = square(cfg, a) + 2, square(cfg, b) + 2
-    total = da + db + r
-    return BundleDescriptor(a, b, r, (da, db), total, r)
+    return BundleDescriptor(a, b, r, (moduli_dim(cfg, a), moduli_dim(cfg, b)))
 
 
 def _spherical_trigger(
@@ -195,7 +193,6 @@ def _positive_two_term(cfg: K3Config, v: MukaiVector, split_classes):
 @dataclass(frozen=True)
 class Decomposition:
     parts: tuple[MukaiVector, ...]
-    phases: tuple[Fraction, ...]
     refinable: bool
 
 
@@ -264,18 +261,11 @@ def effective_decompositions(
     splits = [t for t in tails((vr, vc, vs), 0, _max_parts(atoms, den)) if len(t) > 1]
     splits.sort(key=lambda t: (len(t), t))
 
-    # one class and one phase per distinct part; the atoms keep their classes
+    # one class per distinct part; the atoms keep their classes
     class_of = {key: u for key, (u, _) in zip(keys, atoms)}
-    phase_of = {}
-    fractions: dict[int, Fraction] = {}
     for key in {key for t in splits for key in t}:
-        r, c, s = key
-        n = wr * r + wc * c + ws * s
         if key not in class_of:
-            class_of[key] = MukaiVector(r, c, s)
-        if n not in fractions:
-            fractions[n] = Fraction(n, den)
-        phase_of[key] = fractions[n]
+            class_of[key] = MukaiVector(*key)
 
     results: list[Decomposition] = []
     for t in splits:
@@ -289,7 +279,7 @@ def effective_decompositions(
             u = parts[0]
             q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
             refinable = abs(q) > 1
-        results.append(Decomposition(parts, tuple(map(phase_of.__getitem__, t)), refinable))
+        results.append(Decomposition(parts, refinable))
     return results
 
 
@@ -316,15 +306,22 @@ def _max_parts(atoms, den: int) -> int:
 
 
 def two_part_splits(cfg: K3Config, decs):
-    """The two-part members of decs, as (a, b, dec) with a the smaller square."""
-    out = []
-    for dec in decs:
-        if len(dec.parts) == 2:
-            a, b = dec.parts
-            if (square(cfg, a), a.as_tuple()) > (square(cfg, b), b.as_tuple()):
-                a, b = b, a
-            out.append((a, b, dec))
-    return out
+    """The two-part members of decs, as (a, b, dec) with (a, b) = dec.parts.
+
+    decs is a list as effective_decompositions returns it; there the head a
+    has the smaller (square, tuple) of the two parts.  The head is an atom
+    and the closing part is b = v - a, admissible, so b^2 >= -2.  A split
+    class a has (a, v) <= v^2/2 by definition, and a spherical atom has it
+    because b^2 = v^2 - 2(a, v) - 2 >= -2.  So b^2 - a^2 = v^2 - 2(a, v)
+    >= 0.  In the equality case (b, v) = v^2/2 > 0 (build_wall takes
+    v^2 > 0) and b^2 = a^2 >= -2, so b is one of the wall's split classes,
+    which decomposition_solutions lists exactly; its phase lies in (0, 1),
+    as a closing part's must, so b is an atom.  The closing rule gives b
+    an index at least a's, atoms are in tuple order, and b != a because v
+    is primitive; so a's tuple is the smaller.  Other lists get their
+    parts in their own order.  cfg is not read.
+    """
+    return [(*dec.parts, dec) for dec in decs if len(dec.parts) == 2]
 
 
 def flop_cells(cfg: K3Config, decs):

@@ -100,14 +100,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_det3(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 MAT_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmath import mat_det3, mat_mul, mat_vec
+from .intmath import mat_mul, mat_vec
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,6 @@ class Isometry:
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return Isometry(mat_mul(self.matrix, other.matrix))
-
-    @property
-    def det(self) -> int:
-        return mat_det3(self.matrix)
 
 
 def tensor_isometry(cfg: K3Config, k: int) -> Isometry:

@@ -29,11 +29,6 @@ class NumericalWall:
     radius_sq: Fraction | None = None
     line_b: Fraction | None = None
 
-    def cross_value(self, b, t2) -> Fraction:
-        b = Fraction(b)
-        t2 = Fraction(t2)
-        return self.alpha * (b * b + t2) + self.beta * b + self.gamma
-
 
 def numerical_wall(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> NumericalWall:
     e = cfg.h2
@@ -226,11 +221,18 @@ def path_crossings(
 
     The cross-product polynomial is linear in t^2 along a vertical line, so
     each wall contributes at most one exact root; roots landing on a
-    charge-vanishing point of a spherical class are flagged.
+    charge-vanishing point of a spherical class are flagged.  The range is
+    t_min < t <= t_max, with 0 <= t_min < t_max; ValueError otherwise.
     """
     b0 = Fraction(b0)
-    lo = Fraction(t_min) ** 2
-    hi = Fraction(t_max) ** 2 if t_max is not None else None
+    t_min = Fraction(t_min)
+    t_max = Fraction(t_max) if t_max is not None else None
+    if t_min < 0:
+        raise ValueError(f"t_min must be >= 0, got {t_min}")
+    if t_max is not None and t_max <= t_min:
+        raise ValueError(f"t_max must exceed t_min, got t_min = {t_min}, t_max = {t_max}")
+    lo = t_min * t_min
+    hi = t_max * t_max if t_max is not None else None
     out: list[PathCrossing] = []
     for idx, a in enumerate(wall_classes):
         wall = numerical_wall(cfg, v, a)
@@ -241,7 +243,6 @@ def path_crossings(
         t2 = -(wall.alpha * b0 * b0 + wall.beta * b0 + wall.gamma) / wall.alpha
         if t2 <= 0 or t2 <= lo or (hi is not None and t2 > hi):
             continue
-        assert wall.cross_value(b0, t2) == 0
         collision = None
         for hb, ht2, s in holes(cfg, spherical_members(cfg, v, a)):
             if hb == b0 and ht2 == t2:

@@ -8,7 +8,6 @@ from k3walls.intmath import (
     det2,
     kernel_basis_int,
     lex_sign,
-    mat_det3,
     primitive_vector,
     unit_section,
     xgcd,
@@ -147,6 +146,12 @@ def central_charge(cfg: K3Config, x: MukaiVector, b, t2) -> GeomCharge:
     return GeomCharge(re, mu, t2)
 
 
+def cross_value(wall, b, t2) -> Fraction:
+    """alpha*(b^2 + t^2) + beta*b + gamma of a NumericalWall at (b, t^2); 0 on the wall."""
+    b = Fraction(b)
+    return wall.alpha * (b * b + Fraction(t2)) + wall.beta * b + wall.gamma
+
+
 def _charge_parts(cfg: K3Config, x: MukaiVector, b: Fraction, t2: Fraction):
     e = cfg.h2
     re = e * x.c * b - x.s - Fraction(e, 2) * x.r * (b * b - t2)
@@ -176,6 +181,14 @@ def alignment_weights_by_fractions(cfg: K3Config, v: MukaiVector, b: Fraction, t
         content = -content
     *weights, den = (n // content for n in ints)
     return tuple(weights), den
+
+
+def mat_det3(m) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def mat_inverse_unimodular(m):
@@ -396,13 +409,12 @@ def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
 
     def record(split):
         parts = tuple(u for u, _ in split)
-        phases = tuple(Fraction(n, den) for _, n in split)
         refinable = False
         if len(parts) == 2:
             u = parts[0]
             q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
             refinable = abs(q) > 1
-        results.append(Decomposition(parts, phases, refinable))
+        results.append(Decomposition(parts, refinable))
 
     max_parts = _max_parts(atoms, den)
 

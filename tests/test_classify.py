@@ -134,13 +134,15 @@ def test_effective_decompositions_unique_and_exact():
     for v in (VP, VM):
         walls = walls_for(v)
         for idx in (1, 2, 3, 4):
-            decs = decompositions(walls[idx])
+            verdict = classify(CFG, walls[idx])
+            decs = effective_decompositions(CFG, walls[idx], verdict)
             assert len(decs) == 1, (v, idx, decs)
             parts = {p.as_tuple() for p in decs[0].parts}
             assert parts == EXPECTED_SPLITS[(v.as_tuple(), idx)]
             assert not decs[0].refinable
-            assert sum(decs[0].phases) == 1
-            for ph in decs[0].phases:
+            phases = [verdict.func.phi(p) for p in decs[0].parts]
+            assert sum(phases) == 1
+            for ph in phases:
                 assert 0 < ph < 1
 
 
@@ -236,7 +238,8 @@ def test_decompositions_match_the_prefix_search_across_genus(gv):
 @given(V_SMALL)
 def test_decomposition_invariants_across_genus(gv):
     # parts sum to v, phases lie in (0, 1) and sum to 1, the part cap
-    # holds and no multiset of parts is listed twice
+    # holds, no multiset of parts is listed twice, and a two-part split
+    # lists the part of smaller (square, tuple) first
     g, *vt = gv
     walls = flopping_walls(g, tuple(vt))
     assume(walls is not None)
@@ -246,11 +249,15 @@ def test_decomposition_invariants_across_genus(gv):
         seen = set()
         for dec in effective_decompositions(cfg, wall, verdict):
             assert sum(dec.parts, mv(0, 0, 0)) == v
-            assert sum(dec.phases) == 1 and all(0 < ph < 1 for ph in dec.phases)
+            phases = [verdict.func.phi(p) for p in dec.parts]
+            assert sum(phases) == 1 and all(0 < ph < 1 for ph in phases)
             assert 2 <= len(dec.parts) <= cap
             multiset = tuple(sorted(p.as_tuple() for p in dec.parts))
             assert multiset not in seen
             seen.add(multiset)
+            if len(dec.parts) == 2:
+                a, b = dec.parts
+                assert (square(cfg, a), a.as_tuple()) < (square(cfg, b), b.as_tuple())
 
 
 small = st.integers(-4, 4)
@@ -296,9 +303,10 @@ def test_bundle_descriptors():
         desc = bundle_descriptor(CFG, v, a)
         assert desc.fiber_dim == fiber
         assert desc.base_dims == bases
-        assert desc.total_dim == total
-        assert desc.codim == fiber
-        assert desc.codim + desc.total_dim == square(CFG, v) + 2
+        # the locus has dimension base + fiber and codimension fiber
+        locus = sum(desc.base_dims) + desc.fiber_dim
+        assert locus == total
+        assert locus + desc.fiber_dim == square(CFG, v) + 2
 
 
 def test_bundle_fiber_multiset():
@@ -322,7 +330,7 @@ def test_mukai_flop_descriptor_for_small_hilbert():
     # the plane flop: a plane of dimension two inside a fourfold
     assert desc.fiber_dim == 2
     assert desc.base_dims == (0, 0)
-    assert desc.total_dim == 2 and desc.codim == 2
+    assert sum(desc.base_dims) + desc.fiber_dim == 2
     assert desc.describe() == "P^2-bundle over a point"
 
 

@@ -168,6 +168,13 @@ def test_path_with_t_min(capsys):
     assert code == 1 and out == "" and "--b is required" in err
 
 
+@pytest.mark.parametrize("bounds", [("--t-min", "-1"), ("--t-max", "-3"), ("--t-min", "3", "--t-max", "1")])
+def test_path_rejects_bad_t_bounds(capsys, bounds):
+    code, out, err = invoke(capsys, "path", "--genus", "2", "--v", "0,2,-1", "--b", "0", *bounds)
+    assert code == 1 and out == ""
+    assert err.startswith("error: t_m") and err.count("\n") == 1
+
+
 def test_path_range_excludes_hole(capsys):
     code, out, _ = invoke(
         capsys, "path", "--genus", "2", "--v", "1,0,-4", "--b", "-2",

@@ -17,7 +17,7 @@ from k3walls.lattice import (
     tensor_isometry,
     twist_T,
 )
-from oracles import coords_in_basis, isometry_inverse, preserves_pairing
+from oracles import coords_in_basis, isometry_inverse, mat_det3, preserves_pairing
 
 CFG = K3Config(2)
 
@@ -86,7 +86,7 @@ def test_tensor_identity_and_isometry():
     for k in (-3, -1, 1, 4):
         iso = tensor_isometry(CFG, k)
         assert preserves_pairing(CFG, iso)
-        assert iso.det == 1
+        assert mat_det3(iso.matrix) == 1
 
 
 def test_reflection():
@@ -168,10 +168,10 @@ def test_line_bundle_vector_spherical():
 
 
 def test_isometry_determinants_are_units():
-    assert twist_T(CFG).det == -1
-    assert tensor_isometry(CFG, -2).det == 1
-    assert reflection_isometry(CFG, mv(1, -2, 5)).det == -1
-    assert dual_isometry().det == -1
+    assert mat_det3(twist_T(CFG).matrix) == -1
+    assert mat_det3(tensor_isometry(CFG, -2).matrix) == 1
+    assert mat_det3(reflection_isometry(CFG, mv(1, -2, 5)).matrix) == -1
+    assert mat_det3(dual_isometry().matrix) == -1
 
 
 def test_isometry_equality_is_matrix_equality():

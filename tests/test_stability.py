@@ -16,7 +16,7 @@ from k3walls.stability import (
     spherical_members,
 )
 from k3walls.walls import build_wall
-from oracles import _charge_parts, alignment_weights_by_fractions, central_charge
+from oracles import _charge_parts, alignment_weights_by_fractions, central_charge, cross_value
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -71,7 +71,7 @@ def test_numerical_wall_shapes():
     for k in (-3, 0, 2):
         assert numerical_wall(CFG, VM, mv(0, 1, k)).shape == "empty"
     w1 = numerical_wall(CFG, VP, mv(1, -1, 2))
-    assert w1.cross_value(-2, 4) == 0
+    assert cross_value(w1, -2, 4) == 0
     w0 = numerical_wall(CFG, VP, mv(0, 0, -1))
     assert w0.shape == "vertical" and w0.line_b == 0
     # the degenerate boundary lattice gives a point circle, reported empty
@@ -116,7 +116,7 @@ def test_path_crossings_hilbert_side():
     assert len(flagged) == 1
     assert flagged[0].t2 == 1 and flagged[0].hole_collision == mv(1, -2, 5)
     for cr in crossings:
-        assert numerical_wall(CFG, VP, cr.a).cross_value(-2, cr.t2) == 0
+        assert cross_value(numerical_wall(CFG, VP, cr.a), -2, cr.t2) == 0
 
 
 def test_path_crossings_fibration_side():
@@ -133,6 +133,14 @@ def test_path_range_filters():
     crossings = path_crossings(CFG, VP, VP_WALL_CLASSES, -2, t_min=1, t_max=2)
     got = {(cr.wall_index, cr.t2) for cr in crossings}
     assert got == {(1, Fraction(4)), (2, Fraction(2))}
+
+
+@pytest.mark.parametrize("t_min, t_max", [(-1, None), (0, -3), (3, 1), (2, 2)])
+def test_path_range_rejects_bad_bounds(t_min, t_max):
+    # t is a length: a negative bound or an empty range is an error, not a
+    # bound squared into another range or an empty path
+    with pytest.raises(ValueError, match="t_m"):
+        path_crossings(CFG, VP, VP_WALL_CLASSES, -2, t_min=t_min, t_max=t_max)
 
 
 def test_path_on_wall_signals():
@@ -183,7 +191,7 @@ def test_wall_polynomial_matches_charge_cross_product(
     zv = central_charge(CFG, v, b, t2)
     za = central_charge(CFG, a, b, t2)
     cross = zv.re * za.im_coeff - za.re * zv.im_coeff
-    assert CFG.h2 * wall.cross_value(b, t2) == cross
+    assert CFG.h2 * cross_value(wall, b, t2) == cross
 
 
 @given(
