@@ -7,14 +7,14 @@ from dataclasses import dataclass
 
 from .classify import (
     BundleDescriptor,
-    Decomposition,
+    Splittings,
     WallVerdict,
     bundle_descriptor,
     classify,
     effective_decompositions,
     flop_cells,
 )
-from .lattice import K3Config, MukaiVector
+from .lattice import K3Config, MukaiVector, pairing
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
 from .walls import WallLattice, enumerate_result
 
@@ -28,7 +28,7 @@ class WallRecord:
     verdict: WallVerdict
     divisor: NSClass
     curve: CurveClass
-    decompositions: tuple[Decomposition, ...]
+    decompositions: Splittings
     bundle: BundleDescriptor | None
 
     @property
@@ -64,13 +64,16 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
         verdict = classify(cfg, wall)
         divisor = wall_divisor(cfg, v, wall.a, basis)
         curve = curve_class(cfg, v, divisor)
-        decs = ()
+        decs = Splittings((), {})
         bundle = None
         if verdict.is_flopping:
-            decs = tuple(effective_decompositions(cfg, wall, verdict))
+            decs = effective_decompositions(cfg, wall, verdict)
             cells = flop_cells(cfg, decs)
             if cells:
-                bundle = bundle_descriptor(cfg, v, cells[0][0])
+                # isometries keep fiber dimensions, so the cell of smallest
+                # fiber dimension (the first on a tie) is transported with the wall
+                a, _, _ = min(cells, key=lambda cell: pairing(cfg, cell[1], cell[0]))
+                bundle = bundle_descriptor(cfg, v, a)
         records.append(WallRecord(idx, wall, verdict, divisor, curve, decs, bundle))
     return WallSurvey(cfg, v, basis, tuple(records), enum.window, enum.stable)
 

@@ -196,91 +196,93 @@ class Decomposition:
     refinable: bool
 
 
-def effective_decompositions(
-    cfg: K3Config, wall: WallLattice, verdict: WallVerdict
-) -> list[Decomposition]:
+@dataclass(frozen=True)
+class Splittings:
+    """The effective splittings of v on one wall (effective_decompositions).
+
+    two_part lists the splittings into two parts; counts maps each number
+    of parts k >= 2 that occurs, in increasing order, to the number of
+    splittings into k parts.  len() is the number of splittings of every
+    length.
+    """
+
+    two_part: tuple[Decomposition, ...]
+    counts: dict[int, int]
+
+    def __len__(self) -> int:
+        return sum(self.counts.values())
+
+
+def effective_decompositions(cfg: K3Config, wall: WallLattice, verdict: WallVerdict) -> Splittings:
     """Splittings v = sum of effective parts inside the wall lattice.
 
     A part is admissible when it is positive (square >= 0, positive pairing
-    with v) or a spherical class of positive phase; every part must carry
-    phase in (0, 1).  A two-part splitting is flagged refinable when its
-    parallelogram holds a lattice point besides the vertices.  Splittings
-    are cut off, without a flag, at min(8, floor(1/phi_min) + 1) parts,
-    phi_min the smallest atom phase.
+    with v) or a spherical class, and it must carry phase in (0, 1).  The
+    atoms are the admissible split classes and spherical classes of phase
+    in (0, 1), in tuple order; a splitting is a multiset of atoms with
+    phase sum below 1 whose complement, the closing part, is admissible
+    (phase in (0, 1) then holds, as every atom has phase > 0), and when the
+    closing part is atom j the multiset uses atoms of index <= j only, so
+    each multiset of parts comes once.  The two-part splittings are listed
+    in the order of their heads, the atom first, and flagged refinable when
+    their parallelogram holds a lattice point besides the vertices; the
+    splittings of every length are counted, with no cap on the parts.
 
-    verdict is classify(cfg, wall): phases are taken at verdict.func, and
-    the search compares its integer numerators over its fixed denominator;
-    the atoms come from verdict.split_classes and verdict.spherical.  The
-    search is memoised on the state (remainder w, first atom index start,
-    parts left room), each solved once.  The tails of a state are w itself
-    as the closing part, when admissible and not an atom of index below
-    start, and each atom of index >= start and smaller phase than w
-    followed by a tail of (w - atom, its index, room - 1); the splittings
-    are the tails of (v, 0, cap) with two parts or more, so each multiset
-    of parts comes once, in atom order.  Every tail of a reachable state
-    ends a distinct splitting, so the memo holds at most (splittings x
-    parts) references.
+    verdict is classify(cfg, wall): phases are taken at verdict.func, as
+    integer numerators over its fixed denominator den, and the atoms come
+    from verdict.split_classes and verdict.spherical.  A class p*v + q*a of
+    the wall lattice is fixed by its numerator p*den + q*num(a) and q, so
+    one sweep over the atoms in index order keeps a map from (numerator, q,
+    number of atoms) of a multiset with numerator <= den to the number of
+    such multisets, adding one layer per further copy of each atom.  A
+    splitting whose closing part is an atom is then a multiset of atoms
+    summing to v (numerator den, q = 0), its atom of highest index taken
+    as the closing part; any other is a multiset of numerator below den
+    whose complement is admissible and no atom.
     """
     func = verdict.func
     if func is None:
-        return []
-    v = wall.v
+        return Splittings((), {})
+    v, a, gram = wall.v, wall.a, wall.gram
     den = func.den
-    h2 = cfg.h2
-    wr, wc, ws = func.weights
-    vr, vc, vs = v.as_tuple()
     atoms = _effective_atoms(func, verdict.split_classes, verdict.spherical)
-    keys = [u.as_tuple() for u, _ in atoms]
+    # u = p*v + q*a, integral as (v, a) is a basis of the wall
+    coords = [gram.coords(pairing(cfg, u, v), pairing(cfg, u, a)) for u, _ in atoms]
+    keys = [(n, q) for (_, n), (_, q) in zip(atoms, coords)]
     index = {key: i for i, key in enumerate(keys)}
-    steps = [(*key, n) for key, (_, n) in zip(keys, atoms)]
-    memo: dict = {}
 
-    def tails(w, start, room):
-        # the ways to end a split with remainder w, as tuples of triples
-        state = (w, start, room)
-        found = memo.get(state)
-        if found is not None:
-            return found
-        r, c, s = w
-        num = wr * r + wc * c + ws * s
-        found = []
-        # the closing part need not sit in the window; num > 0 excludes w = 0
-        if 0 < num < den and index.get(w, start) >= start:
-            usq = h2 * c * c - 2 * r * s
-            if usq == -2 or (usq >= 0 and h2 * c * vc - r * vs - vr * s > 0):
-                found.append((w,))
-        if room > 1:
-            for i in range(start, len(steps)):
-                ar, ac, as_, n = steps[i]
-                if n < num:
-                    head = (keys[i],)
-                    found += [head + t for t in tails((r - ar, c - ac, s - as_), i, room - 1)]
-        memo[state] = found
-        return found
+    def admissible(p: int, q: int) -> bool:
+        usq = gram.value(p, q)
+        return usq == -2 or (usq >= 0 and gram.q11 * p + gram.q12 * q > 0)
 
-    splits = [t for t in tails((vr, vc, vs), 0, _max_parts(atoms, den)) if len(t) > 1]
-    splits.sort(key=lambda t: (len(t), t))
+    two_part = []
+    for i, ((u, n), (p, q)) in enumerate(zip(atoms, coords)):
+        # the closing part v - u has numerator den - n in (0, den); the two
+        # parts have determinant -q in the basis (v, a), and a lattice
+        # parallelogram holds a point besides its vertices exactly when
+        # |det| > 1
+        if index.get((den - n, -q), i) >= i and admissible(1 - p, -q):
+            two_part.append(Decomposition((u, v - u), abs(q) > 1))
 
-    # one class per distinct part; the atoms keep their classes
-    class_of = {key: u for key, (u, _) in zip(keys, atoms)}
-    for key in {key for t in splits for key in t}:
-        if key not in class_of:
-            class_of[key] = MukaiVector(*key)
-
-    results: list[Decomposition] = []
-    for t in splits:
-        parts = tuple(map(class_of.__getitem__, t))
-        refinable = False
-        if len(parts) == 2:
-            # parts[0] = p*v + q*a, q read off its pairings (integral, as
-            # (v, a) is a basis of the wall); the two parts have determinant
-            # -q in that basis, and a lattice parallelogram holds a point
-            # besides its vertices exactly when |det| > 1
-            u = parts[0]
-            q = wall.gram.coords(pairing(cfg, u, v), pairing(cfg, u, wall.a))[1]
-            refinable = abs(q) > 1
-        results.append(Decomposition(parts, refinable))
-    return results
+    sums = {(0, 0, 0): 1}
+    for n, q in keys:
+        layer = sums
+        while layer:
+            # one more copy of the atom; a sum of numerator den extends no further
+            layer = {(m + n, y + q, k + 1): c for (m, y, k), c in layer.items() if m + n <= den}
+            for key, c in layer.items():
+                sums[key] = sums.get(key, 0) + c
+    na = func.numerator(a)
+    counts: dict[int, int] = {}
+    for (m, y, k), c in sums.items():
+        if (m, y) == (den, 0):  # the atoms sum to v
+            parts = k
+        elif k and m < den and (den - m, -y) not in index and admissible((den - m + y * na) // den, -y):
+            parts = k + 1
+        else:
+            continue
+        counts[parts] = counts.get(parts, 0) + c
+    return Splittings(tuple(two_part), dict(sorted(counts.items())))
 
 
 def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
@@ -298,38 +300,30 @@ def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
     return [atoms[key] for key in sorted(atoms)]
 
 
-def _max_parts(atoms, den: int) -> int:
-    """The part cap min(8, floor(1/phi_min) + 1) over the atom phases."""
-    if not atoms:
-        return 1
-    return min(8, den // min(n for _, n in atoms) + 1)
+def two_part_splits(cfg: K3Config, decs: Splittings):
+    """The two-part splittings of decs, as (a, b, dec) with (a, b) = dec.parts.
 
-
-def two_part_splits(cfg: K3Config, decs):
-    """The two-part members of decs, as (a, b, dec) with (a, b) = dec.parts.
-
-    decs is a list as effective_decompositions returns it; there the head a
-    has the smaller (square, tuple) of the two parts.  The head is an atom
-    and the closing part is b = v - a, admissible, so b^2 >= -2.  A split
-    class a has (a, v) <= v^2/2 by definition, and a spherical atom has it
-    because b^2 = v^2 - 2(a, v) - 2 >= -2.  So b^2 - a^2 = v^2 - 2(a, v)
-    >= 0.  In the equality case (b, v) = v^2/2 > 0 (build_wall takes
-    v^2 > 0) and b^2 = a^2 >= -2, so b is one of the wall's split classes,
-    which decomposition_solutions lists exactly; its phase lies in (0, 1),
-    as a closing part's must, so b is an atom.  The closing rule gives b
-    an index at least a's, atoms are in tuple order, and b != a because v
-    is primitive; so a's tuple is the smaller.  Other lists get their
-    parts in their own order.  cfg is not read.
+    decs is effective_decompositions' result, whose two_part list has the
+    head a of smaller (square, tuple) of the two parts.  The head is an
+    atom and the closing part is b = v - a, admissible, so b^2 >= -2.  A
+    split class a has (a, v) <= v^2/2 by definition, and a spherical atom
+    has it because b^2 = v^2 - 2(a, v) - 2 >= -2.  So b^2 - a^2 = v^2 -
+    2(a, v) >= 0.  In the equality case (b, v) = v^2/2 > 0 (build_wall
+    takes v^2 > 0) and b^2 = a^2 >= -2, so b is one of the wall's split
+    classes, which decomposition_solutions lists exactly; its phase lies in
+    (0, 1), as a closing part's must, so b is an atom.  The closing rule
+    gives b an index at least a's, atoms are in tuple order, and b != a
+    because v is primitive; so a's tuple is the smaller.  cfg is not read.
     """
-    return [(*dec.parts, dec) for dec in decs if len(dec.parts) == 2]
+    return [(*dec.parts, dec) for dec in decs.two_part]
 
 
-def flop_cells(cfg: K3Config, decs):
-    """Two-part members of decs carrying an actual bundle cell (fiber dim >= 1).
+def flop_cells(cfg: K3Config, decs: Splittings):
+    """Two-part splittings of decs carrying an actual bundle cell (fiber dim >= 1).
 
     Splittings with (v-a, a) <= 1 admit no one-parameter extension family
-    and contribute no exceptional cell, so they are listed by
-    effective_decompositions but excluded here.
+    and contribute no exceptional cell, so effective_decompositions counts
+    and lists them but they are excluded here.
     """
     return [(a, b, dec) for a, b, dec in two_part_splits(cfg, decs)
             if pairing(cfg, b, a) - 1 >= 1]

@@ -15,10 +15,10 @@ from .analysis import WallSurvey
 from .intmath import frac_str, sqrt_str
 from .lattice import K3Config, MukaiVector, pairing, square
 from .nsgeom import curve_str, divisor_str
-from .stability import path_crossings
+from .stability import path_crossings, t_range
 from .walls import enumerate_result
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 WALL_COLUMNS = [
     "i",
@@ -66,9 +66,12 @@ def walls_document_from_survey(sv: WallSurvey) -> dict:
             "r": rec.bundle.fiber_dim if rec.bundle else None,
             "locus": rec.bundle.describe() if rec.bundle else None,
             "decompositions": [
-                [_vec(p) for p in dec.parts] for dec in rec.decompositions
+                [_vec(p) for p in dec.parts] for dec in rec.decompositions.two_part
             ],
-            "refinable": any(dec.refinable for dec in rec.decompositions),
+            "decomposition_counts": {
+                str(parts): n for parts, n in rec.decompositions.counts.items()
+            },
+            "refinable": any(dec.refinable for dec in rec.decompositions.two_part),
             "certificates": [
                 {"class": _vec(c.cls), "role": c.role}
                 for c in verdict.certificates
@@ -108,6 +111,8 @@ def path_document(
     t_max=None,
     window: int | None = None,
 ) -> dict:
+    # a rejected range costs no enumeration
+    t_min, t_max = t_range(t_min, t_max)
     enum = enumerate_result(cfg, v, window)
     crossings = []
     for cr in path_crossings(cfg, v, [wall.a for wall in enum.walls], b0, t_min, t_max):
@@ -130,8 +135,8 @@ def path_document(
         "genus": cfg.genus,
         "v": _vec(v),
         "b": frac_str(Fraction(b0)),
-        "t_min": frac_str(Fraction(t_min)),
-        "t_max": frac_str(Fraction(t_max)) if t_max is not None else None,
+        "t_min": frac_str(t_min),
+        "t_max": frac_str(t_max) if t_max is not None else None,
         "window": enum.window,
         "window_stable": enum.stable,
         "crossings": crossings,

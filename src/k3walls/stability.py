@@ -209,6 +209,21 @@ class PathCrossing:
     hole_collision: MukaiVector | None = None
 
 
+def t_range(t_min=0, t_max=None) -> tuple[Fraction, Fraction | None]:
+    """The range t_min < t <= t_max of a vertical path, as Fractions.
+
+    t is a length: ValueError unless 0 <= t_min < t_max (t_max None is no
+    upper bound).
+    """
+    t_min = Fraction(t_min)
+    t_max = Fraction(t_max) if t_max is not None else None
+    if t_min < 0:
+        raise ValueError(f"t_min must be >= 0, got {t_min}")
+    if t_max is not None and t_max <= t_min:
+        raise ValueError(f"t_max must exceed t_min, got t_min = {t_min}, t_max = {t_max}")
+    return t_min, t_max
+
+
 def path_crossings(
     cfg: K3Config,
     v: MukaiVector,
@@ -222,15 +237,10 @@ def path_crossings(
     The cross-product polynomial is linear in t^2 along a vertical line, so
     each wall contributes at most one exact root; roots landing on a
     charge-vanishing point of a spherical class are flagged.  The range is
-    t_min < t <= t_max, with 0 <= t_min < t_max; ValueError otherwise.
+    t_min < t <= t_max, checked by t_range.
     """
     b0 = Fraction(b0)
-    t_min = Fraction(t_min)
-    t_max = Fraction(t_max) if t_max is not None else None
-    if t_min < 0:
-        raise ValueError(f"t_min must be >= 0, got {t_min}")
-    if t_max is not None and t_max <= t_min:
-        raise ValueError(f"t_max must exceed t_min, got t_min = {t_min}, t_max = {t_max}")
+    t_min, t_max = t_range(t_min, t_max)
     lo = t_min * t_min
     hi = t_max * t_max if t_max is not None else None
     out: list[PathCrossing] = []

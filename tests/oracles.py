@@ -12,7 +12,7 @@ from k3walls.intmath import (
     unit_section,
     xgcd,
 )
-from k3walls.classify import Decomposition, _effective_atoms, _max_parts
+from k3walls.classify import Decomposition, _effective_atoms
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
 from k3walls.stability import _positive_floor_sqrt, holes, numerical_wall
@@ -384,13 +384,14 @@ def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
     return start[1], end[1]
 
 
-def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
-    """effective_decompositions(cfg, wall, verdict) by the plain prefix search.
+def decompositions_by_prefixes(cfg: K3Config, wall, verdict, max_parts: int | None = None) -> list:
+    """Every splitting effective_decompositions(cfg, wall, verdict) counts, listed.
 
     Enumerates every multiset of atoms, in atom order, whose phases stay
     below 1, and closes each with its complement v - total when that is
     admissible and not an atom of lower index than the last; the engine
-    solves each (remainder, first atom, parts left) state once instead.
+    counts them by partial sums instead.  max_parts, when given, drops the
+    splittings into more parts.  Sorted by (number of parts, part tuples).
     """
     func = verdict.func
     if func is None:
@@ -416,15 +417,13 @@ def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
             refinable = abs(q) > 1
         results.append(Decomposition(parts, refinable))
 
-    max_parts = _max_parts(atoms, den)
-
     def extend(start: int, total: MukaiVector, num: int, chosen):
         if chosen:
             last = v - total
             if (not last.is_zero and index.get(last.as_tuple(), start) >= start
                     and admissible(last, den - num)):
                 record(chosen + [(last, den - num)])
-        if len(chosen) + 1 >= max_parts:
+        if max_parts is not None and len(chosen) + 1 >= max_parts:
             return
         for i in range(start, len(atoms)):
             u, n = atoms[i]

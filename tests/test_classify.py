@@ -17,7 +17,7 @@ from k3walls import (
     survey,
     two_part_splits,
 )
-from k3walls.classify import DIVISORIAL_HC, _effective_atoms, _max_parts, bundle_descriptor
+from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
 from k3walls.lattice import pairing, square
 from k3walls.stability import AlignmentFunctional, alignment_candidates, spherical_members
 from k3walls.walls import SectorError, build_wall
@@ -136,11 +136,12 @@ def test_effective_decompositions_unique_and_exact():
         for idx in (1, 2, 3, 4):
             verdict = classify(CFG, walls[idx])
             decs = effective_decompositions(CFG, walls[idx], verdict)
-            assert len(decs) == 1, (v, idx, decs)
-            parts = {p.as_tuple() for p in decs[0].parts}
+            assert len(decs) == 1 and decs.counts == {2: 1}, (v, idx, decs)
+            (dec,) = decs.two_part
+            parts = {p.as_tuple() for p in dec.parts}
             assert parts == EXPECTED_SPLITS[(v.as_tuple(), idx)]
-            assert not decs[0].refinable
-            phases = [verdict.func.phi(p) for p in decs[0].parts]
+            assert not dec.refinable
+            phases = [verdict.func.phi(p) for p in dec.parts]
             assert sum(phases) == 1
             for ph in phases:
                 assert 0 < ph < 1
@@ -158,18 +159,44 @@ def test_phase_sum_on_two_term_splits():
 LADDER = [mv(1, 0, -4), mv(0, 2, -1), mv(3, 1, -7), mv(1, 0, -49), mv(5, 2, -9), mv(4, 1, -11)]
 
 
+def assert_matches_prefix_search(cfg, wall, verdict):
+    # the counts per number of parts are the lengths of the plain prefix
+    # search's uncapped listing, in increasing order, the two-part list is
+    # its two-part members, in order and with their flags, and len() is
+    # the number of splittings
+    listed = decompositions_by_prefixes(cfg, wall, verdict)
+    got = effective_decompositions(cfg, wall, verdict)
+    assert got.counts == Counter(len(dec.parts) for dec in listed), wall.a
+    assert list(got.counts) == sorted(got.counts)
+    assert list(got.two_part) == [dec for dec in listed if len(dec.parts) == 2], wall.a
+    assert len(got) == sum(got.counts.values()) == len(listed)
+    return got
+
+
+# splittings of every length, and those into at most 8 parts
+LADDER_SPLITTINGS = {(5, 2, -9): (1275, 1081), (4, 1, -11): (7778, 5992)}
+
+
 def test_decompositions_match_the_prefix_search_on_the_ladder():
     # every flopping wall of the genus-2 ladder, (5,2,-9) and (4,1,-11)
-    # included: the memoised search lists what the plain prefix search
-    # lists, in the same order, with the same phases and flags
+    # included, against the plain prefix search with no part cap; the
+    # splittings into at most 8 parts are those the prefix search lists
+    # under that cap
     flops = 0
     for v in LADDER:
+        counts = Counter()
+        capped = 0
         for wall in walls_for(v):
             verdict = classify(CFG, wall)
             if verdict.is_flopping:
                 flops += 1
-                got = effective_decompositions(CFG, wall, verdict)
-                assert got == decompositions_by_prefixes(CFG, wall, verdict), (v, wall.a)
+                counts.update(assert_matches_prefix_search(CFG, wall, verdict).counts)
+                capped += len(decompositions_by_prefixes(CFG, wall, verdict, max_parts=8))
+        short = sum(n for parts, n in counts.items() if parts <= 8)
+        assert short == capped, v
+        if v.as_tuple() in LADDER_SPLITTINGS:
+            assert (counts.total(), short) == LADDER_SPLITTINGS[v.as_tuple()]
+            assert max(counts) > 8
     assert flops == 180
 
 
@@ -231,33 +258,32 @@ def test_decompositions_match_the_prefix_search_across_genus(gv):
     assume(walls is not None)
     cfg = K3Config(g)
     for wall, verdict in walls:
-        assert effective_decompositions(cfg, wall, verdict) == decompositions_by_prefixes(cfg, wall, verdict)
+        assert_matches_prefix_search(cfg, wall, verdict)
 
 
 @settings(max_examples=100, deadline=None)
 @given(V_SMALL)
 def test_decomposition_invariants_across_genus(gv):
-    # parts sum to v, phases lie in (0, 1) and sum to 1, the part cap
-    # holds, no multiset of parts is listed twice, and a two-part split
-    # lists the part of smaller (square, tuple) first
+    # the two parts of a listed split sum to v with phases in (0, 1), no
+    # pair is listed twice, the part of smaller (square, tuple) comes
+    # first, and the count of two-part splits is the list's length
     g, *vt = gv
     walls = flopping_walls(g, tuple(vt))
     assume(walls is not None)
     cfg, v = K3Config(g), mv(*vt)
     for wall, verdict in walls:
-        cap = _max_parts(_effective_atoms(verdict.func, verdict.split_classes, verdict.spherical), verdict.func.den)
+        decs = effective_decompositions(cfg, wall, verdict)
         seen = set()
-        for dec in effective_decompositions(cfg, wall, verdict):
-            assert sum(dec.parts, mv(0, 0, 0)) == v
-            phases = [verdict.func.phi(p) for p in dec.parts]
-            assert sum(phases) == 1 and all(0 < ph < 1 for ph in phases)
-            assert 2 <= len(dec.parts) <= cap
-            multiset = tuple(sorted(p.as_tuple() for p in dec.parts))
-            assert multiset not in seen
-            seen.add(multiset)
-            if len(dec.parts) == 2:
-                a, b = dec.parts
-                assert (square(cfg, a), a.as_tuple()) < (square(cfg, b), b.as_tuple())
+        for dec in decs.two_part:
+            a, b = dec.parts
+            assert a + b == v
+            assert 0 < verdict.func.phi(a) < 1 and verdict.func.phi(a) + verdict.func.phi(b) == 1
+            pair = frozenset((a.as_tuple(), b.as_tuple()))
+            assert pair not in seen
+            seen.add(pair)
+            assert (square(cfg, a), a.as_tuple()) < (square(cfg, b), b.as_tuple())
+        assert decs.counts.get(2, 0) == len(decs.two_part)
+        assert min(decs.counts, default=2) >= 2
 
 
 small = st.integers(-4, 4)
@@ -276,12 +302,11 @@ def test_refinable_matches_parallelogram_scan(g, r, c, s, at):
         wall = build_wall(cfg, v, mv(*at))
     except ValueError:  # proportional classes or a definite lattice
         assume(False)
-    for dec in effective_decompositions(cfg, wall, classify(cfg, wall)):
-        if len(dec.parts) == 2:
-            p, q = coords_in_basis(v.as_tuple(), wall.a.as_tuple(), dec.parts[0].as_tuple())
-            assert p.denominator == q.denominator == 1
-            scan = lattice_points_in_parallelogram((int(p), int(q)), (1, 0))
-            assert dec.refinable == bool(scan)
+    for dec in effective_decompositions(cfg, wall, classify(cfg, wall)).two_part:
+        p, q = coords_in_basis(v.as_tuple(), wall.a.as_tuple(), dec.parts[0].as_tuple())
+        assert p.denominator == q.denominator == 1
+        scan = lattice_points_in_parallelogram((int(p), int(q)), (1, 0))
+        assert dec.refinable == bool(scan)
 
 
 BUNDLES = [
@@ -468,9 +493,11 @@ def test_survey_analyses_each_wall_once(monkeypatch):
         assert verdict == rec.verdict
         assert verdict.split_classes == rec.verdict.split_classes
         if not rec.verdict.is_flopping:
-            assert rec.decompositions == () and rec.bundle is None
+            assert len(rec.decompositions) == 0 and rec.bundle is None
             continue
-        assert list(rec.decompositions) == decs
+        assert rec.decompositions == decs
         cells = flop_cells(CFG, decs)
-        expected = bundle_descriptor(CFG, v, cells[0][0]) if cells else None
+        # the cell of smallest fiber dimension, the first on a tie
+        fibers = [bundle_descriptor(CFG, v, a) for a, _, _ in cells]
+        expected = min(fibers, key=lambda desc: desc.fiber_dim) if cells else None
         assert rec.bundle == expected

@@ -1,3 +1,4 @@
+import importlib
 import json
 import pathlib
 import random
@@ -134,11 +135,18 @@ def test_json_schema_fields(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["chambers"] == 5
     assert len(doc["walls"]) == 6
     assert doc["walls"][1]["qR"] == "-5/2"
     assert doc["window_stable"] is True
+
+
+def test_walls_json_size_follows_the_walls():
+    # the document lists two-part splittings and counts the longer ones:
+    # (7,3,-20) has 182 965 splittings, which as a list rendered 32 MB
+    text = render_json(walls_document_from_survey(survey(CFG, mv(7, 3, -20))))
+    assert len(text.encode()) < 200_000
 
 
 def test_csv_outputs(capsys):
@@ -168,11 +176,22 @@ def test_path_with_t_min(capsys):
     assert code == 1 and out == "" and "--b is required" in err
 
 
-@pytest.mark.parametrize("bounds", [("--t-min", "-1"), ("--t-max", "-3"), ("--t-min", "3", "--t-max", "1")])
-def test_path_rejects_bad_t_bounds(capsys, bounds):
-    code, out, err = invoke(capsys, "path", "--genus", "2", "--v", "0,2,-1", "--b", "0", *bounds)
-    assert code == 1 and out == ""
-    assert err.startswith("error: t_m") and err.count("\n") == 1
+BAD_T_BOUNDS = {
+    ("--t-min", "-1"): "t_min must be >= 0, got -1",
+    ("--t-max", "-3"): "t_max must exceed t_min, got t_min = 0, t_max = -3",
+    ("--t-min", "3", "--t-max", "1"): "t_max must exceed t_min, got t_min = 3, t_max = 1",
+}
+
+
+@pytest.mark.parametrize("bounds", list(BAD_T_BOUNDS))
+def test_path_rejects_bad_t_bounds(capsys, monkeypatch, bounds):
+    # one error line, and the range is checked before any wall is enumerated
+    enumerated = []
+    monkeypatch.setattr(importlib.import_module("k3walls.report"), "enumerate_result",
+                        lambda *args: enumerated.append(args))
+    code, out, err = invoke(capsys, "path", "--genus", "2", "--v", "7,3,-20", "--b", "0", *bounds)
+    assert (code, out, err) == (1, "", f"error: {BAD_T_BOUNDS[bounds]}\n")
+    assert enumerated == []
 
 
 def test_path_range_excludes_hole(capsys):

@@ -161,16 +161,7 @@ def test_chain_transport_under_twist():
     assert transport_check(CFG, VM, twist_T(CFG))
 
 
-CELL_NOT_INVARIANT = pytest.mark.xfail(
-    strict=True,
-    reason="reported flop cell is `cells[0]`, not isometry-invariant (ROADMAP item 4)",
-)
-
-
-@pytest.mark.parametrize(
-    "genus",
-    [pytest.param(g, marks=CELL_NOT_INVARIANT) if g in (6, 7, 12) else g for g in range(2, 13)],
-)
+@pytest.mark.parametrize("genus", range(2, 13))
 def test_chain_transport_under_twist_every_genus(genus):
     cfg = K3Config(genus)
     assert transport_check(cfg, mv(0, 2, -1), twist_T(cfg))
