@@ -14,7 +14,7 @@ from .classify import (
     effective_decompositions,
     flop_cells,
 )
-from .lattice import K3Config, MukaiVector, pairing
+from .lattice import K3Config, MukaiVector
 from .nsgeom import CurveClass, NSBasis, NSClass, curve_class, wall_divisor
 from .walls import WallLattice, enumerate_result
 
@@ -70,10 +70,11 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
             decs = effective_decompositions(cfg, wall, verdict)
             cells = flop_cells(cfg, decs)
             if cells:
-                # isometries keep fiber dimensions, so the cell of smallest
-                # fiber dimension (the first on a tie) is transported with the wall
-                a, _, _ = min(cells, key=lambda cell: pairing(cfg, cell[1], cell[0]))
-                bundle = bundle_descriptor(cfg, v, a)
+                # isometries keep fiber dimensions and the squares of the
+                # parts, so the least (fiber_dim, base_dims) is transported
+                # with the wall; on a tie the first such cell is reported
+                bundle = min((bundle_descriptor(cfg, v, a) for a, _, _ in cells),
+                             key=_cell_shape)
         records.append(WallRecord(idx, wall, verdict, divisor, curve, decs, bundle))
     return WallSurvey(cfg, v, basis, tuple(records), enum.window, enum.stable)
 
@@ -87,8 +88,8 @@ def _surveys_agree(cfg: K3Config, v: MukaiVector, iso, same) -> bool:
     )
 
 
-def _fiber_dim(rec: WallRecord) -> int | None:
-    return rec.bundle.fiber_dim if rec.bundle else None
+def _cell_shape(desc: BundleDescriptor | None) -> tuple[int, tuple[int, int]] | None:
+    return (desc.fiber_dim, desc.base_dims) if desc else None
 
 
 def transport_check(cfg: K3Config, v: MukaiVector, iso) -> bool:
@@ -105,19 +106,19 @@ def transport_check(cfg: K3Config, v: MukaiVector, iso) -> bool:
         return (
             r2.a.as_tuple() in (img.as_tuple(), (-img).as_tuple())
             and r1.verdict.kind == r2.verdict.kind
-            and _fiber_dim(r1) == _fiber_dim(r2)
+            and _cell_shape(r1.bundle) == _cell_shape(r2.bundle)
         )
 
     return _surveys_agree(cfg, v, iso, same)
 
 
 def chain_structure_check(cfg: K3Config, v: MukaiVector, iso) -> bool:
-    """Agreement of wall counts, verdicts and fiber dimensions for v, iso(v)."""
+    """Agreement of wall counts, verdicts and flop cell dimensions for v, iso(v)."""
 
     def same(r1: WallRecord, r2: WallRecord) -> bool:
         return (
-            (r1.verdict.kind, r1.verdict.subtype, _fiber_dim(r1))
-            == (r2.verdict.kind, r2.verdict.subtype, _fiber_dim(r2))
+            (r1.verdict.kind, r1.verdict.subtype, _cell_shape(r1.bundle))
+            == (r2.verdict.kind, r2.verdict.subtype, _cell_shape(r2.bundle))
         )
 
     return _surveys_agree(cfg, v, iso, same)

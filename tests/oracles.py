@@ -384,14 +384,14 @@ def finite_volume_sector(cfg: K3Config, v: MukaiVector, pool, basis):
     return start[1], end[1]
 
 
-def decompositions_by_prefixes(cfg: K3Config, wall, verdict, max_parts: int | None = None) -> list:
+def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
     """Every splitting effective_decompositions(cfg, wall, verdict) counts, listed.
 
     Enumerates every multiset of atoms, in atom order, whose phases stay
     below 1, and closes each with its complement v - total when that is
     admissible and not an atom of lower index than the last; the engine
-    counts them by partial sums instead.  max_parts, when given, drops the
-    splittings into more parts.  Sorted by (number of parts, part tuples).
+    counts them by partial sums instead.  Sorted by (number of parts, part
+    tuples).
     """
     func = verdict.func
     if func is None:
@@ -423,8 +423,6 @@ def decompositions_by_prefixes(cfg: K3Config, wall, verdict, max_parts: int | No
             if (not last.is_zero and index.get(last.as_tuple(), start) >= start
                     and admissible(last, den - num)):
                 record(chosen + [(last, den - num)])
-        if max_parts is not None and len(chosen) + 1 >= max_parts:
-            return
         for i in range(start, len(atoms)):
             u, n = atoms[i]
             if num + n >= den:

@@ -174,7 +174,7 @@ def test_chain_transport_under_tensor():
 
 def test_chain_structure_survives_reflection():
     # a reflection moves the chain by the divisorial Weyl action: the walls
-    # change representatives but counts, kinds and fiber dimensions agree
+    # change representatives but counts, kinds and cell dimensions agree
     iso = reflection_isometry(CFG, line_bundle_vector(CFG, -1))
     assert chain_structure_check(CFG, mv(0, 1, -1), iso)
     assert chain_structure_check(CFG, VP, iso)
