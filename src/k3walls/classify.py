@@ -204,6 +204,18 @@ class Splittings:
     of parts k >= 2 that occurs, in increasing order, to the number of
     splittings into k parts.  len() is the number of splittings of every
     length.
+
+    A two-part splitting's parts are (a, b), the head a of smaller
+    (square, tuple) first.  The head is an atom and the closing part is
+    b = v - a, admissible, so b^2 >= -2.  A split class a has (a, v) <=
+    v^2/2 by definition, and a spherical atom has it because b^2 = v^2 -
+    2(a, v) - 2 >= -2.  So b^2 - a^2 = v^2 - 2(a, v) >= 0.  In the equality
+    case (b, v) = v^2/2 > 0 (build_wall takes v^2 > 0) and b^2 = a^2 >= -2,
+    so b is one of the wall's split classes, which decomposition_solutions
+    lists exactly; its phase lies in (0, 1), as a closing part's must, so b
+    is an atom.  The closing rule gives b an index at least a's, atoms are
+    in tuple order, and b != a because v is primitive; so a's tuple is the
+    smaller.
     """
 
     two_part: tuple[Decomposition, ...]
@@ -300,30 +312,13 @@ def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
     return [atoms[key] for key in sorted(atoms)]
 
 
-def two_part_splits(cfg: K3Config, decs: Splittings):
-    """The two-part splittings of decs, as (a, b, dec) with (a, b) = dec.parts.
-
-    decs is effective_decompositions' result, whose two_part list has the
-    head a of smaller (square, tuple) of the two parts.  The head is an
-    atom and the closing part is b = v - a, admissible, so b^2 >= -2.  A
-    split class a has (a, v) <= v^2/2 by definition, and a spherical atom
-    has it because b^2 = v^2 - 2(a, v) - 2 >= -2.  So b^2 - a^2 = v^2 -
-    2(a, v) >= 0.  In the equality case (b, v) = v^2/2 > 0 (build_wall
-    takes v^2 > 0) and b^2 = a^2 >= -2, so b is one of the wall's split
-    classes, which decomposition_solutions lists exactly; its phase lies in
-    (0, 1), as a closing part's must, so b is an atom.  The closing rule
-    gives b an index at least a's, atoms are in tuple order, and b != a
-    because v is primitive; so a's tuple is the smaller.  cfg is not read.
-    """
-    return [(*dec.parts, dec) for dec in decs.two_part]
-
-
 def flop_cells(cfg: K3Config, decs: Splittings):
     """Two-part splittings of decs carrying an actual bundle cell (fiber dim >= 1).
 
+    Each is given as (a, b, dec) with (a, b) = dec.parts, the head first.
     Splittings with (v-a, a) <= 1 admit no one-parameter extension family
     and contribute no exceptional cell, so effective_decompositions counts
     and lists them but they are excluded here.
     """
-    return [(a, b, dec) for a, b, dec in two_part_splits(cfg, decs)
-            if pairing(cfg, b, a) - 1 >= 1]
+    return [(*dec.parts, dec) for dec in decs.two_part
+            if pairing(cfg, dec.parts[1], dec.parts[0]) - 1 >= 1]

@@ -211,6 +211,8 @@ def run(argv=None) -> int:
         if chosen == 0 and not args.matrix:
             raise UsageError("no operation requested")
         raw_v = _setting(args, file_cfg, "v")
+        if raw_v is None and not args.matrix:
+            raise UsageError("nothing to print: give --v or --matrix")
         if raw_v is not None:
             image = iso.apply(parse_vector(str(raw_v)))
             out.write("{},{},{}\n".format(*image.as_tuple()))

@@ -142,7 +142,10 @@ def frac_str(x) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def sqrt_str(t2) -> str:

@@ -1,15 +1,14 @@
 """Report documents for the command line: stable dicts plus table/json/csv
 renderers.  All exact values are rendered as canonical strings ('-5/2',
 'sqrt(2/3)'); floats never enter the documents.  A document holds only
-dicts with str keys, lists, str, int, bool and None, which is all that
-render_json accepts.
+dicts with str keys, lists, str, int, bool and None.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .analysis import WallSurvey
 from .intmath import frac_str, sqrt_str
@@ -244,56 +243,4 @@ def render_path_csv(doc: dict) -> str:
 
 
 def render_json(doc: dict) -> str:
-    """The text of json.dumps(doc, indent=2) plus a newline, byte for byte.
-
-    Only dicts with str keys, lists, str, int, bool and None are written;
-    any other value (a float, a Fraction, a tuple, a non-str key) raises
-    TypeError, where json.dumps would write or convert it.  A list of
-    exact ints is written once per indent and items, because
-    decompositions repeat their atoms.
-    """
-    int_lists: dict[tuple[str, tuple[int, ...]], str] = {}
-
-    def write(x, pad: str) -> str:
-        kind = type(x)
-        if kind is list:
-            if not x:
-                return "[]"
-            for item in x:
-                # exact ints only: (1, True) == (1, 1), so a bool must not reach the memo
-                if type(item) is not int:
-                    break
-            else:
-                key = (pad, tuple(x))
-                text = int_lists.get(key)
-                if text is None:
-                    inner = pad + "  "
-                    text = int_lists[key] = (
-                        "[\n" + inner + (",\n" + inner).join(map(int.__repr__, x)) + "\n" + pad + "]"
-                    )
-                return text
-            inner = pad + "  "
-            return "[\n" + inner + (",\n" + inner).join([write(i, inner) for i in x]) + "\n" + pad + "]"
-        if kind is str:
-            return encode_basestring_ascii(x)
-        if kind is int:
-            return int.__repr__(x)
-        if x is None:
-            return "null"
-        if x is True:
-            return "true"
-        if x is False:
-            return "false"
-        if kind is dict:
-            if not x:
-                return "{}"
-            inner = pad + "  "
-            items = []
-            for k, value in x.items():
-                if type(k) is not str:
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                items.append(encode_basestring_ascii(k) + ": " + write(value, inner))
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-    return write(doc, "") + "\n"
+    return json.dumps(doc, indent=2) + "\n"

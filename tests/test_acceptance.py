@@ -14,7 +14,6 @@ from k3walls import (
     enumerate_result,
     mv,
     survey,
-    two_part_splits,
 )
 from k3walls.classify import bundle_descriptor
 from k3walls.lattice import (
@@ -36,7 +35,8 @@ VM = mv(0, 2, -1)
 
 def splits(wall):
     """The two-part effective splittings, as (a, b, dec) with a the smaller square."""
-    return two_part_splits(CFG, effective_decompositions(CFG, wall, classify(CFG, wall)))
+    decs = effective_decompositions(CFG, wall, classify(CFG, wall))
+    return [(*dec.parts, dec) for dec in decs.two_part]
 
 
 def criterion(number, label):

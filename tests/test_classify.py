@@ -15,7 +15,6 @@ from k3walls import (
     flop_cells,
     mv,
     survey,
-    two_part_splits,
 )
 from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
 from k3walls.lattice import pairing, square
@@ -43,7 +42,7 @@ def decompositions(wall):
 
 def splits(wall):
     """The two-part effective splittings, as (a, b, dec) with a the smaller square."""
-    return two_part_splits(CFG, decompositions(wall))
+    return [(*dec.parts, dec) for dec in decompositions(wall).two_part]
 
 
 def test_hilbert_chow_wall():

@@ -17,7 +17,6 @@ EXPORTED = {
     "classify",
     "effective_decompositions",
     "flop_cells",
-    "two_part_splits",
     "survey",
 }
 
