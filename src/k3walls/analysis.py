@@ -9,7 +9,6 @@ from .classify import (
     BundleDescriptor,
     Splittings,
     WallVerdict,
-    bundle_descriptor,
     classify,
     effective_decompositions,
     flop_cells,
@@ -68,13 +67,10 @@ def survey(cfg: K3Config, v: MukaiVector, window: int | None = None) -> WallSurv
         bundle = None
         if verdict.is_flopping:
             decs = effective_decompositions(cfg, wall, verdict)
-            cells = flop_cells(cfg, decs)
-            if cells:
-                # isometries keep fiber dimensions and the squares of the
-                # parts, so the least (fiber_dim, base_dims) is transported
-                # with the wall; on a tie the first such cell is reported
-                bundle = min((bundle_descriptor(cfg, v, a) for a, _, _ in cells),
-                             key=_cell_shape)
+            # isometries keep fiber dimensions and the squares of the
+            # parts, so the least (fiber_dim, base_dims) is transported
+            # with the wall; on a tie the first such cell is reported
+            bundle = min(flop_cells(cfg, decs), key=_cell_shape, default=None)
         records.append(WallRecord(idx, wall, verdict, divisor, curve, decs, bundle))
     return WallSurvey(cfg, v, basis, tuple(records), enum.window, enum.stable)
 

@@ -82,26 +82,6 @@ class BundleDescriptor:
         return f"P^{self.fiber_dim}-bundle over {base}"
 
 
-def bundle_descriptor(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> BundleDescriptor:
-    b = v - a
-    r = pairing(cfg, b, a) - 1
-    if r < 1:
-        raise ValueError(f"fiber dimension {r} < 1: not a flop cell")
-    return BundleDescriptor(a, b, r, (moduli_dim(cfg, a), moduli_dim(cfg, b)))
-
-
-def _spherical_trigger(
-    cfg: K3Config, wall: WallLattice, func: AlignmentFunctional, spherical
-) -> MukaiVector | None:
-    """An effective spherical class pairing negatively with v at func, if any."""
-    v = wall.v
-    for s in spherical:
-        for cand in (s, -s):
-            if pairing(cfg, cand, v) < 0 and func.phi(cand) > 0:
-                return cand
-    return None
-
-
 def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     """Choose the arc of the numerical wall that carries the verdict.
 
@@ -115,11 +95,14 @@ def _select_arc(cfg: K3Config, wall: WallLattice, spherical):
     spanned by w0 = pairing_row(v) x pairing_row(a), is positive; as
     H^2 (beta^2 - 4 alpha gamma) = (w0, w0), the numerical wall has a point.
     Ties keep the first arc sampled.
+    An arc's trigger is the first of the classes s, -s of negative pairing
+    with v, taken once per wall, that is effective (phi > 0) there.
     Returns (functional, trigger at that arc, arcs disagree on triggers).
     """
+    negative = [c for s in spherical for c in (s, -s) if pairing(cfg, c, wall.v) < 0]
     arcs = []
     for func in alignment_candidates(cfg, wall.v, wall.a, spherical):
-        trig = _spherical_trigger(cfg, wall, func, spherical)
+        trig = next((c for c in negative if func.phi(c) > 0), None)
         ph = func.phi(wall.a)
         arcs.append(((trig is None, 0 < ph < 1, ph > 0), func, trig))
     _, func, trig = max(arcs, key=lambda arc: arc[0])
@@ -142,7 +125,7 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
     for pq in lgu:
         certs.append(Certificate(wall.member(*pq), "isotropic_pairing_two"))
 
-    spherical = tuple(spherical_members(cfg, wall.v, wall.a))
+    spherical = tuple(spherical_members(cfg, wall))
     func, trigger, arc_sensitive = _select_arc(cfg, wall, spherical)
     # solutions are (x, y) with u = x*a + y*v
     solutions = decomposition_solutions(cfg, wall.v, wall.a)
@@ -312,13 +295,14 @@ def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
     return [atoms[key] for key in sorted(atoms)]
 
 
-def flop_cells(cfg: K3Config, decs: Splittings):
-    """Two-part splittings of decs carrying an actual bundle cell (fiber dim >= 1).
+def flop_cells(cfg: K3Config, decs: Splittings) -> list[BundleDescriptor]:
+    """The bundle cell of each two-part splitting v = a + b of decs, head a first.
 
-    Each is given as (a, b, dec) with (a, b) = dec.parts, the head first.
-    Splittings with (v-a, a) <= 1 admit no one-parameter extension family
-    and contribute no exceptional cell, so effective_decompositions counts
-    and lists them but they are excluded here.
+    The cell has fiber dimension (b, a) - 1.  Splittings with (b, a) <= 1
+    admit no one-parameter extension family and contribute no exceptional
+    cell, so effective_decompositions counts and lists them but they are
+    excluded here.
     """
-    return [(*dec.parts, dec) for dec in decs.two_part
-            if pairing(cfg, dec.parts[1], dec.parts[0]) - 1 >= 1]
+    parts = [dec.parts for dec in decs.two_part]
+    return [BundleDescriptor(a, b, r, (moduli_dim(cfg, a), moduli_dim(cfg, b)))
+            for a, b in parts if (r := pairing(cfg, b, a) - 1) >= 1]

@@ -152,11 +152,14 @@ def divisor_str(divisor: NSClass, basis: NSBasis) -> str:
 
 
 def curve_str(curve: CurveClass, basis: NSBasis, cfg: K3Config) -> str:
+    """The curve in the NS basis; on the Hilbert side, in (H, delta-dual).
+
+    There v = (1, 0, 1-n), D = x*delta + y*H = (-x, -y, (1-n)x) and
+    D x v = (y(n-1), -(2n-2)x, y), whose content, the divisibility of D, is
+    gcd(y, (2n-2)x): the coefficients y/div and (2n-2)x/div are integers.
+    """
     x, y = curve.coords
     if basis.labels == ("delta", "H"):
         n = hilbert_n(cfg, basis.v)
-        dual_coef = x * (2 * n - 2)
-        if dual_coef.denominator == 1 and y.denominator == 1:
-            return combo_str((y, dual_coef), ("H", "deltav"))
-        return combo_str((y, x), ("H", "delta"))
+        return combo_str((y, x * (2 * n - 2)), ("H", "deltav"))
     return combo_str((x, y), basis.labels)

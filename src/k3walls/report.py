@@ -114,7 +114,7 @@ def path_document(
     t_min, t_max = t_range(t_min, t_max)
     enum = enumerate_result(cfg, v, window)
     crossings = []
-    for cr in path_crossings(cfg, v, [wall.a for wall in enum.walls], b0, t_min, t_max):
+    for cr in path_crossings(cfg, enum.walls, b0, t_min, t_max):
         crossings.append(
             {
                 "wall": cr.wall_index,

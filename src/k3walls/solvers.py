@@ -15,8 +15,10 @@ square modulo one of 64, 63, 65, 11, 17, 19, 23 and 29 cannot be a square
 and is dropped, by byte-table translations that cost a few passes in C
 per modulus, not Python work per level.  The rest are confirmed with
 isqrt, so no solution is lost.  Every form here is lattice.GramForm2,
-the engine's one rank-two form (a wall lattice in the basis (v, a), or
-v-perp in its NS basis).
+the engine's one rank-two form: a wall lattice in the basis (v, a), or
+v-perp in its NS basis.  decomposition_solutions alone works in the basis
+(a, v): the split classes, and so the certificates, follow its sorted
+points, and sorting them by the coefficient of v first changes them.
 """
 from __future__ import annotations
 
@@ -26,10 +28,6 @@ from math import gcd, isqrt
 from .intmath import sqrt_exact, xgcd
 from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
 from .nsgeom import NSBasis
-
-
-def gram_of(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> GramForm2:
-    return GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
 
 
 def _free_index(v: MukaiVector) -> int:

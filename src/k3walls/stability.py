@@ -6,13 +6,15 @@ itself is never materialized.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .intmath import frac_floor_sqrt, lex_sign
 from .lattice import K3Config, MukaiVector, square
-from .solvers import gram_of, spherical_classes
+from .solvers import spherical_classes
+from .walls import WallLattice
 
 SPHERICAL_SEARCH_BOUND = 24
 
@@ -67,15 +69,15 @@ def hole_point(cfg: K3Config, s: MukaiVector):
     return b, t2
 
 
-def spherical_members(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> list[MukaiVector]:
-    """The (-2)-classes p*v + q*a of <v, a> with |q| <= SPHERICAL_SEARCH_BOUND.
+def spherical_members(cfg: K3Config, wall: WallLattice) -> list[MukaiVector]:
+    """The (-2)-classes p*v + q*a of the wall lattice with |q| <= SPHERICAL_SEARCH_BOUND.
 
-    Solved once per wall and passed to every consumer; v^2 > 0, and a
-    degenerate lattice holds no class of negative square.
+    Solved on wall.gram, once per wall, and passed to every consumer;
+    v^2 > 0, and a degenerate lattice holds no class of negative square.
     """
     out = []
-    for p, q in spherical_classes(gram_of(cfg, v, a), SPHERICAL_SEARCH_BOUND):
-        s = p * v + q * a
+    for p, q in spherical_classes(wall.gram, SPHERICAL_SEARCH_BOUND):
+        s = wall.member(p, q)
         if square(cfg, s) != -2:
             raise AssertionError("spherical search returned a non-spherical class")
         out.append(s)
@@ -225,14 +227,9 @@ def t_range(t_min=0, t_max=None) -> tuple[Fraction, Fraction | None]:
 
 
 def path_crossings(
-    cfg: K3Config,
-    v: MukaiVector,
-    wall_classes: list[MukaiVector],
-    b0,
-    t_min=0,
-    t_max=None,
+    cfg: K3Config, walls: Sequence[WallLattice], b0, t_min=0, t_max=None
 ) -> list[PathCrossing]:
-    """Crossings of the vertical path b = b0 with each wall <v, a_i>.
+    """Crossings of the vertical path b = b0 with the numerical wall of each lattice.
 
     The cross-product polynomial is linear in t^2 along a vertical line, so
     each wall contributes at most one exact root; roots landing on a
@@ -244,8 +241,9 @@ def path_crossings(
     lo = t_min * t_min
     hi = t_max * t_max if t_max is not None else None
     out: list[PathCrossing] = []
-    for idx, a in enumerate(wall_classes):
-        wall = numerical_wall(cfg, v, a)
+    for idx, lattice in enumerate(walls):
+        a = lattice.a
+        wall = numerical_wall(cfg, lattice.v, a)
         if wall.alpha == 0:
             if wall.shape == "vertical" and wall.line_b == b0:
                 raise ValueError(f"path b = {b0} lies on the wall of a = {a}")
@@ -254,7 +252,7 @@ def path_crossings(
         if t2 <= 0 or t2 <= lo or (hi is not None and t2 > hi):
             continue
         collision = None
-        for hb, ht2, s in holes(cfg, spherical_members(cfg, v, a)):
+        for hb, ht2, s in holes(cfg, spherical_members(cfg, lattice)):
             if hb == b0 and ht2 == t2:
                 collision = s
                 break

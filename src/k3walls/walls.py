@@ -72,30 +72,22 @@ class WallLattice:
 
 
 def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
-    """Representative +-u + kv with pairing in [0, v^2/2] and minimal square."""
+    """Representative +-u + kv with pairing in [0, v^2/2], the smaller tuple on a tie.
+
+    With base = u + kv of pairing m0 in [0, v^2), two representatives
+    compete only when m0 = 0 (+-base, sign-fixed by lex_sign) or 2*m0 = v^2
+    (base and v - base); they share one square, as (v - base)^2 = v^2 -
+    2*m0 + base^2 = base^2, so no order by square could choose.
+    """
     vsq = square(cfg, v)
     m = pairing(cfg, u, v)
     m0 = m % vsq
     base = u + ((m0 - m) // vsq) * v  # pairing m0 in [0, vsq)
-    cands = []
-    if 2 * m0 < vsq:
-        cands.append(base)
-        if m0 == 0:
-            cands.append(-base)
-    elif 2 * m0 > vsq:
-        cands.append(v - base)
-    else:
-        cands.extend([base, v - base])
-
-    def pref(x: MukaiVector):
-        sq = square(cfg, x)
-        order = {-2: 0, 0: 1}.get(sq, 2)
-        return (order, abs(sq), sq, x.as_tuple())
-
-    a = min(cands, key=pref)
-    if pairing(cfg, a, v) == 0:
-        a = MukaiVector(*lex_sign(a.as_tuple()))
-    return a
+    if 2 * m0 > vsq:
+        return v - base
+    if 2 * m0 == vsq:
+        return min(base, v - base, key=MukaiVector.as_tuple)
+    return MukaiVector(*lex_sign(base.as_tuple())) if m0 == 0 else base
 
 
 def build_wall(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector) -> WallLattice:
@@ -150,14 +142,13 @@ class MovableCone:
     """
 
     basis: NSBasis
-    gram: GramForm2  # the form of v-perp in the NS basis
     anchor: tuple[int, int]
     start: tuple[int, int]
     end: tuple[int, int]
 
     def orient(self, ray: tuple[int, int]) -> tuple[int, int]:
         """Sign-fix a positive-or-null ray into the anchor's component."""
-        val = self.gram.pair(ray, self.anchor)
+        val = self.basis.gram.pair(ray, self.anchor)
         if val == 0:
             # in signature (1,1) only negative classes are orthogonal to a timelike one
             raise AssertionError(
@@ -176,7 +167,7 @@ class MovableCone:
         """
         if det2(self.start, ray) * det2(ray, self.end) < 0:
             return None
-        slope = Fraction(det2(self.anchor, ray), self.gram.pair(self.anchor, ray))
+        slope = Fraction(det2(self.anchor, ray), self.basis.gram.pair(self.anchor, ray))
         return slope if det2(self.start, self.end) > 0 else -slope
 
 
@@ -236,7 +227,7 @@ def movable_cone(
     # start at a divisorial boundary, preferring the Hilbert-Chow type
     start, end = sorted([plus, minus], key=lambda r: (not r[1], not r[2], r[0]))
     anchor = primitive_vector((start[0][0] + end[0][0], start[0][1] + end[0][1]))
-    return MovableCone(basis, gram, anchor, start[0], end[0])
+    return MovableCone(basis, anchor, start[0], end[0])
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,39 @@ def wall_by_coordinates(cfg: K3Config, v: MukaiVector, a_seed: MukaiVector):
     return a, gram, orthogonal_line_generator(cfg, v, a), disc == 0, u
 
 
+def normalize_by_preference(cfg: K3Config, v: MukaiVector, u: MukaiVector):
+    """Representative +-u + kv with pairing in [0, v^2/2], chosen by preference.
+
+    Collects every candidate and takes the least by (square -2 first, then
+    square 0, then |square|, square, tuple), then sign-fixes a class
+    orthogonal to v; the engine's _normalize_in_basis drops the order by
+    square, which never decides because the candidates share one square.
+    """
+    vsq = square(cfg, v)
+    m = pairing(cfg, u, v)
+    m0 = m % vsq
+    base = u + ((m0 - m) // vsq) * v  # pairing m0 in [0, vsq)
+    cands = []
+    if 2 * m0 < vsq:
+        cands.append(base)
+        if m0 == 0:
+            cands.append(-base)
+    elif 2 * m0 > vsq:
+        cands.append(v - base)
+    else:
+        cands.extend([base, v - base])
+
+    def pref(x: MukaiVector):
+        sq = square(cfg, x)
+        order = {-2: 0, 0: 1}.get(sq, 2)
+        return (order, abs(sq), sq, x.as_tuple())
+
+    a = min(cands, key=pref)
+    if pairing(cfg, a, v) == 0:
+        a = MukaiVector(*lex_sign(a.as_tuple()))
+    return a
+
+
 def divisibility_by_coordinates(v: MukaiVector, d: MukaiVector) -> int:
     """Index of Zd + Zv in its saturation: the determinant of their
     coordinates in a basis of the saturation."""

@@ -12,10 +12,10 @@ from k3walls import (
     classify,
     effective_decompositions,
     enumerate_result,
+    flop_cells,
     mv,
     survey,
 )
-from k3walls.classify import bundle_descriptor
 from k3walls.lattice import (
     dual_isometry,
     line_bundle_vector,
@@ -140,7 +140,8 @@ def test_criterion_5_bundles():
         walls = enumerate_result(CFG, v).walls
         for wall, (fiber, bases, total, codim) in zip(walls[1:5], expected):
             a, b, _ = splits(wall)[0]
-            desc = bundle_descriptor(CFG, v, a)
+            desc = flop_cells(CFG, effective_decompositions(CFG, wall, classify(CFG, wall)))[0]
+            assert (desc.a, desc.b) == (a, b)
             assert desc.fiber_dim == fiber
             assert set(desc.base_dims) == bases
             # the locus has dimension base + fiber and codimension fiber
@@ -150,8 +151,7 @@ def test_criterion_5_bundles():
 
 @criterion(6, "stability-path crossings with exact parameters and hole flag")
 def test_criterion_6_paths():
-    walls_vp = [w.a for w in enumerate_result(CFG, VP).walls]
-    crossings = path_crossings(CFG, VP, walls_vp, -2)
+    crossings = path_crossings(CFG, enumerate_result(CFG, VP).walls, -2)
     by_wall = {cr.wall_index: cr for cr in crossings}
     assert by_wall[1].t2 == Fraction(4)
     assert by_wall[2].t2 == Fraction(2)
@@ -160,8 +160,7 @@ def test_criterion_6_paths():
     assert by_wall[3].hole_collision == mv(1, -2, 5)
     assert all(cr.hole_collision is None for i, cr in by_wall.items() if i != 3)
 
-    walls_vm = [w.a for w in enumerate_result(CFG, VM).walls]
-    narrowed = path_crossings(CFG, VM, walls_vm, 0, t_min=1)
+    narrowed = path_crossings(CFG, enumerate_result(CFG, VM).walls, 0, t_min=1)
     assert [(cr.wall_index, cr.t2) for cr in narrowed] == [(4, Fraction(3, 2))]
 
 
@@ -209,8 +208,7 @@ def test_criterion_9_invariants():
         assert reflection_isometry(CFG, w).apply(reflection_isometry(CFG, w).apply(x)) == x
 
     for v, b0 in ((VP, Fraction(-2)), (VM, Fraction(0)), (VM, Fraction(-1, 3))):
-        classes = [wl.a for wl in enumerate_result(CFG, v).walls]
-        for cr in path_crossings(CFG, v, classes, b0):
+        for cr in path_crossings(CFG, enumerate_result(CFG, v).walls, b0):
             assert cross_value(numerical_wall(CFG, v, cr.a), b0, cr.t2) == 0
 
     for v in (VP, VM, mv(1, 0, -1)):

@@ -4,7 +4,6 @@ from collections import Counter
 from functools import lru_cache
 from math import gcd
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from k3walls import (
@@ -16,7 +15,7 @@ from k3walls import (
     mv,
     survey,
 )
-from k3walls.classify import DIVISORIAL_HC, bundle_descriptor
+from k3walls.classify import DIVISORIAL_HC, Decomposition, Splittings
 from k3walls.lattice import pairing, square
 from k3walls.stability import AlignmentFunctional, alignment_candidates, spherical_members
 from k3walls.walls import SectorError, build_wall
@@ -43,6 +42,10 @@ def decompositions(wall):
 def splits(wall):
     """The two-part effective splittings, as (a, b, dec) with a the smaller square."""
     return [(*dec.parts, dec) for dec in decompositions(wall).two_part]
+
+
+def cells(wall):
+    return flop_cells(CFG, decompositions(wall))
 
 
 def test_hilbert_chow_wall():
@@ -198,7 +201,7 @@ def ladder_points():
     """(wall, spherical classes, engine points, reference points) per ladder wall."""
     for v in LADDER:
         for wall in walls_for(v):
-            spherical = spherical_members(CFG, v, wall.a)
+            spherical = spherical_members(CFG, wall)
             points = [(f.b, f.t2) for f in alignment_candidates(CFG, v, wall.a, spherical)]
             yield wall, spherical, points, alignment_points_with_repeats(CFG, v, wall.a, spherical)
 
@@ -325,7 +328,8 @@ def test_bundle_descriptors():
     for v, idx, fiber, bases, total in BUNDLES:
         wall = walls_for(v)[idx]
         a, b, _ = splits(wall)[0]
-        desc = bundle_descriptor(CFG, v, a)
+        desc = cells(wall)[0]
+        assert (desc.a, desc.b) == (a, b)
         assert desc.fiber_dim == fiber
         assert desc.base_dims == bases
         # the locus has dimension base + fiber and codimension fiber
@@ -335,23 +339,22 @@ def test_bundle_descriptors():
 
 
 def test_bundle_fiber_multiset():
-    dims = sorted(
-        bundle_descriptor(CFG, VP, splits(w)[0][0]).fiber_dim
-        for w in walls_for(VP)[1:-1]
-    )
+    dims = sorted(cells(w)[0].fiber_dim for w in walls_for(VP)[1:-1])
     assert dims == [2, 2, 3, 4]
 
 
-def test_bundle_descriptor_rejects_flat_fiber():
-    with pytest.raises(ValueError):
-        bundle_descriptor(CFG, VP, VP)  # r = (0, v) - 1 = -1
+def test_flop_cells_skip_flat_fibers():
+    # v = v + 0 has fiber dimension (0, v) - 1 = -1: listed, but no cell
+    flat = Splittings((Decomposition((VP, mv(0, 0, 0)), False),), {2: 1})
+    assert flop_cells(CFG, flat) == []
 
 
 def test_mukai_flop_descriptor_for_small_hilbert():
     v = mv(1, 0, -1)
     wall = walls_for(v)[1]
     a, b, _ = splits(wall)[0]
-    desc = bundle_descriptor(CFG, v, a)
+    desc = cells(wall)[0]
+    assert (desc.a, desc.b) == (a, b)
     # the plane flop: a plane of dimension two inside a fourfold
     assert desc.fiber_dim == 2
     assert desc.base_dims == (0, 0)
@@ -376,11 +379,9 @@ def test_flop_cell_found_despite_thin_generic_arc():
     wall = enumerate_result(CFG, v).walls[1]
     verdict = classify(CFG, wall)
     assert verdict.kind == "flopping" and not verdict.totally_semistable
-    cells = flop_cells(CFG, effective_decompositions(CFG, wall, verdict))
-    assert len(cells) == 1
-    a, b, _ = cells[0]
-    assert {a.as_tuple(), b.as_tuple()} == {(-5, -3, -2), (2, 1, 1)}
-    assert bundle_descriptor(CFG, v, a).fiber_dim == 2
+    (cell,) = flop_cells(CFG, effective_decompositions(CFG, wall, verdict))
+    assert {cell.a.as_tuple(), cell.b.as_tuple()} == {(-5, -3, -2), (2, 1, 1)}
+    assert cell.fiber_dim == 2
 
 
 def test_classify_unsaturated_seed_is_hilbert_chow():
@@ -496,10 +497,9 @@ def test_survey_analyses_each_wall_once(monkeypatch):
             assert len(rec.decompositions) == 0 and rec.bundle is None
             continue
         assert rec.decompositions == decs
-        cells = flop_cells(CFG, decs)
+        fibers = flop_cells(CFG, decs)
         # the cell of least (fiber_dim, base_dims), the first on a tie
-        fibers = [bundle_descriptor(CFG, v, a) for a, _, _ in cells]
-        expected = min(fibers, key=lambda desc: (desc.fiber_dim, desc.base_dims)) if cells else None
+        expected = min(fibers, key=lambda desc: (desc.fiber_dim, desc.base_dims)) if fibers else None
         assert rec.bundle == expected
 
 
@@ -510,6 +510,6 @@ def test_survey_breaks_fiber_dimension_ties_on_base_dimensions():
     # keep, so the reported cell does not depend on the listing order
     cfg = K3Config(3)
     (rec,) = [r for r in survey(cfg, mv(2, 1, -5)).records if r.a == mv(1, 0, -1)]
-    shapes = [bundle_descriptor(cfg, mv(2, 1, -5), a) for a, _, _ in flop_cells(cfg, rec.decompositions)]
+    shapes = flop_cells(cfg, rec.decompositions)
     assert [(d.fiber_dim, d.base_dims) for d in shapes if d.fiber_dim == 2] == [(2, (2, 20)), (2, (0, 22))]
     assert (rec.bundle.fiber_dim, rec.bundle.base_dims) == (2, (0, 22))

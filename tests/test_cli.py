@@ -1,12 +1,16 @@
 import importlib
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import k3walls
 from k3walls import K3Config, mv, survey
 from k3walls.cli import main, parse_vector, run
 from k3walls.lattice import square
@@ -55,6 +59,25 @@ def test_json_golden_schema_frozen(capsys):
     )
     assert code == 0
     assert out == (GOLDEN / "walls_g2_1_0_m4.json").read_text()
+
+
+def run_cli_process(*argv):
+    src = str(pathlib.Path(k3walls.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-m", "k3walls.cli", *argv]
+    return subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+
+
+def test_cli_module_exit_codes_reach_the_shell():
+    # python -m k3walls.cli passes main's code to sys.exit: 0 with the
+    # golden table, 1 with one error line, 2 for a window-unstable --strict
+    ok = run_cli_process("walls", "--genus", "2", "--v", "1,0,-4")
+    assert ok.returncode == 0 and ok.stdout == (GOLDEN / "walls_g2_1_0_m4.txt").read_bytes()
+    sector = run_cli_process("walls", "--genus", "7", "--v", "4,1,-5")
+    assert sector.returncode == 1 and sector.stdout == b""
+    assert sector.stderr.startswith(b"error: ") and sector.stderr.count(b"\n") == 1
+    assert run_cli_process("walls", "--genus", "2", "--v", "4,1,-11", "--strict").returncode == 2
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +19,7 @@ from k3walls.lattice import (
     twist_T,
 )
 from k3walls.nsgeom import combo_str, curve_class, divisibility, lambda_basis, wall_divisor
+from k3walls.walls import SectorError
 from oracles import coords_in_basis, divisibility_by_coordinates, kernel_basis_by_row_reduction
 
 CFG = K3Config(2)
@@ -114,16 +116,24 @@ def test_divisibility_matches_coordinate_index(g, vt, at):
         assert divisibility(cfg, v, x) == divisibility_by_coordinates(v, x)
 
 
-def test_divisibility_matches_delta_gcd_formula():
-    from math import gcd
-
-    basis = lambda_basis(CFG, VP)
-    n = hilbert_n(CFG, VP)
-    for wall in enumerate_result(CFG, VP).walls:
-        d = wall_divisor(CFG, VP, wall.a, basis)
-        delta_coef, h_coef = d.coords
-        expected = gcd(h_coef, (2 * n - 2) * delta_coef)
-        assert divisibility(CFG, VP, d.vec) == expected
+@pytest.mark.parametrize("g", range(2, 13), ids=lambda g: f"g{g}")
+def test_divisibility_matches_delta_gcd_formula(g):
+    # D = x*delta + y*H has divisibility gcd(y, (2n-2)*x), so the curve
+    # D/div has integer coefficients y/div and (2n-2)*x/div in (H, delta-dual)
+    cfg = K3Config(g)
+    for v in (mv(1, 0, 1 - n) for n in range(2, 41)):
+        try:
+            walls = enumerate_result(cfg, v).walls
+        except SectorError:
+            continue
+        basis = lambda_basis(cfg, v)
+        n = hilbert_n(cfg, v)
+        for wall in walls:
+            d = wall_divisor(cfg, v, wall.a, basis)
+            delta_coef, h_coef = d.coords
+            assert divisibility(cfg, v, d.vec) == gcd(h_coef, (2 * n - 2) * delta_coef)
+            x, y = curve_class(cfg, v, d).coords
+            assert y.denominator == 1 and (x * (2 * n - 2)).denominator == 1
 
 
 def test_divisors_pairwise_non_proportional():

@@ -12,12 +12,11 @@ from k3walls.solvers import (
     _pell_unit,
     classes_in_rank2,
     decomposition_solutions,
-    gram_of,
     level_points,
     solve_square_with_pairing,
     spherical_classes,
 )
-from k3walls.walls import _candidate_walls, _null_rays, enumerate_result
+from k3walls.walls import _candidate_walls, _null_rays, build_wall, enumerate_result
 
 from oracles import (
     exact_level_points_by_isqrt,
@@ -162,7 +161,8 @@ def test_decomposition_solutions_rejects_rank_one():
 
 
 def test_gram_of():
-    g = gram_of(CFG, VP, mv(1, -1, 2))
+    # the wall's form in the basis (v, a), the one spherical_members solves on
+    g = build_wall(CFG, VP, mv(1, -1, 2)).gram
     assert (g.q11, g.q12, g.q22) == (8, 2, -2)
     assert g.disc_prime == 20
 

@@ -2,11 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
-from k3walls import K3Config, classify, mv
+from k3walls import K3Config, classify, enumerate_result, mv
 from k3walls.intmath import cross3
 from k3walls.lattice import pairing, pairing_row, square
-from k3walls.solvers import gram_of
 from k3walls.stability import (
     AlignmentFunctional,
     hole_point,
@@ -15,8 +15,9 @@ from k3walls.stability import (
     path_crossings,
     spherical_members,
 )
-from k3walls.walls import build_wall
+from k3walls.walls import SectorError, build_wall
 from oracles import _charge_parts, alignment_weights_by_fractions, central_charge, cross_value
+from test_walls import positive_vectors
 
 CFG = K3Config(2)
 VP = mv(1, 0, -4)
@@ -30,6 +31,7 @@ VP_WALL_CLASSES = [
     mv(2, -3, 5),
     mv(1, -2, 4),
 ]
+VP_WALLS = [build_wall(CFG, VP, a) for a in VP_WALL_CLASSES]
 
 
 def test_central_charge_values():
@@ -83,12 +85,12 @@ def test_radius_squared_equals_reduced_discriminant():
         wall = numerical_wall(CFG, VP, a)
         if wall.shape != "semicircle":
             continue
-        g = gram_of(CFG, VP, a)
+        g = build_wall(CFG, VP, a).gram
         assert wall.radius_sq == Fraction(g.disc_prime, int(4 * wall.alpha**2))
 
 
 def holes_of(v, a):
-    return holes(CFG, spherical_members(CFG, v, a))
+    return holes(CFG, spherical_members(CFG, build_wall(CFG, v, a)))
 
 
 def test_holes():
@@ -107,7 +109,7 @@ def test_hole_point_formula():
 
 
 def test_path_crossings_hilbert_side():
-    crossings = path_crossings(CFG, VP, VP_WALL_CLASSES, -2)
+    crossings = path_crossings(CFG, VP_WALLS, -2)
     got = {(cr.wall_index, cr.t2) for cr in crossings}
     assert got == {(1, Fraction(4)), (2, Fraction(2)), (3, Fraction(1)), (4, Fraction(2, 3))}
     t2s = [cr.t2 for cr in crossings]
@@ -121,16 +123,17 @@ def test_path_crossings_hilbert_side():
 
 def test_path_crossings_fibration_side():
     classes = [mv(1, 0, 0), mv(-2, 1, -1), mv(-1, 1, -1), mv(1, 0, 1), mv(-1, 1, -2), mv(0, 0, 1)]
-    crossings = path_crossings(CFG, VM, classes, 0, t_min=1)
+    walls = [build_wall(CFG, VM, a) for a in classes]
+    crossings = path_crossings(CFG, walls, 0, t_min=1)
     assert [(cr.wall_index, cr.t2) for cr in crossings] == [(4, Fraction(3, 2))]
-    full = path_crossings(CFG, VM, classes, 0)
+    full = path_crossings(CFG, walls, 0)
     hit3 = [cr for cr in crossings + full if cr.wall_index == 3]
     assert hit3 and hit3[0].t2 == 1 and hit3[0].hole_collision == mv(1, 0, 1)
 
 
 def test_path_range_filters():
     # t in (1, 2]: keeps t^2 in (1, 4]
-    crossings = path_crossings(CFG, VP, VP_WALL_CLASSES, -2, t_min=1, t_max=2)
+    crossings = path_crossings(CFG, VP_WALLS, -2, t_min=1, t_max=2)
     got = {(cr.wall_index, cr.t2) for cr in crossings}
     assert got == {(1, Fraction(4)), (2, Fraction(2))}
 
@@ -140,12 +143,30 @@ def test_path_range_rejects_bad_bounds(t_min, t_max):
     # t is a length: a negative bound or an empty range is an error, not a
     # bound squared into another range or an empty path
     with pytest.raises(ValueError, match="t_m"):
-        path_crossings(CFG, VP, VP_WALL_CLASSES, -2, t_min=t_min, t_max=t_max)
+        path_crossings(CFG, VP_WALLS, -2, t_min=t_min, t_max=t_max)
 
 
 def test_path_on_wall_signals():
     with pytest.raises(ValueError):
-        path_crossings(CFG, VP, [mv(0, 0, -1)], 0)  # vertical wall at b = 0
+        path_crossings(CFG, [build_wall(CFG, VP, mv(0, 0, -1))], 0)  # vertical wall at b = 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(positive_vectors())
+def test_path_through_a_wall_centre_meets_walls_in_enumeration_order(case):
+    # the walls of v are nested semicircles, so the vertical path through
+    # the centre of any of them meets them in their slope order from the
+    # divisorial boundary, outermost or innermost first
+    cfg, v = case
+    try:
+        walls = enumerate_result(cfg, v).walls
+    except SectorError:
+        assume(False)
+    for wall in walls:
+        numerical = numerical_wall(cfg, v, wall.a)
+        if numerical.shape == "semicircle":
+            order = [cr.wall_index for cr in path_crossings(cfg, walls, numerical.center_b)]
+            assert order in (sorted(order), sorted(order, reverse=True))
 
 
 def test_alignment_functional_properties():
