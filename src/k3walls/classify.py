@@ -127,9 +127,7 @@ def classify(cfg: K3Config, wall: WallLattice) -> WallVerdict:
 
     spherical = tuple(spherical_members(cfg, wall))
     func, trigger, arc_sensitive = _select_arc(cfg, wall, spherical)
-    # solutions are (x, y) with u = x*a + y*v
-    solutions = decomposition_solutions(cfg, wall.v, wall.a)
-    split_classes = tuple(wall.member(y, x) for x, y in solutions)
+    split_classes = tuple(wall.member(p, q) for p, q in decomposition_solutions(wall.gram))
     flop_sphericals = sorted(
         (s for s in split_classes if square(cfg, s) == -2),
         key=lambda s: (pairing(cfg, s, wall.v), s.as_tuple()),
@@ -298,10 +296,17 @@ def _effective_atoms(func: AlignmentFunctional, split_classes, spherical):
 def flop_cells(cfg: K3Config, decs: Splittings) -> list[BundleDescriptor]:
     """The bundle cell of each two-part splitting v = a + b of decs, head a first.
 
-    The cell has fiber dimension (b, a) - 1.  Splittings with (b, a) <= 1
-    admit no one-parameter extension family and contribute no exceptional
-    cell, so effective_decompositions counts and lists them but they are
-    excluded here.
+    The cell has fiber dimension (b, a) - 1, so a splitting with (b, a) <= 1
+    gives none, as the Hilbert-Chow class x of g=2 (1,0,-4) does: (v - x,
+    x) = (x, v) = 1.  On a flopping wall with no spherical trigger
+    (proxy_flag False) every splitting has (b, a) >= 3.  Each part u pairs
+    positively with v: a closing part has (u, v) >= v^2/2, and a head is a
+    split class or a spherical atom, which pairs negatively only as a
+    trigger.  A spherical u gives (b, a) = (u, v) + 2 with (u, v) != 0
+    (Brill-Noether), an isotropic u (b, a) = (u, v) != 1, 2 (Hilbert-Chow,
+    Li-Gieseker-Uhlenbeck).  Else a^2, b^2 >= 2 (squares are even), and in
+    v's component reverse Cauchy-Schwarz gives (a, b)^2 >= a^2 b^2 >= 4,
+    with equality only for a and b proportional, which primitive v excludes.
     """
     parts = [dec.parts for dec in decs.two_part]
     return [BundleDescriptor(a, b, r, (moduli_dim(cfg, a), moduli_dim(cfg, b)))

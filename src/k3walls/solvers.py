@@ -16,9 +16,7 @@ and is dropped, by byte-table translations that cost a few passes in C
 per modulus, not Python work per level.  The rest are confirmed with
 isqrt, so no solution is lost.  Every form here is lattice.GramForm2,
 the engine's one rank-two form: a wall lattice in the basis (v, a), or
-v-perp in its NS basis.  decomposition_solutions alone works in the basis
-(a, v): the split classes, and so the certificates, follow its sorted
-points, and sorting them by the coefficient of v first changes them.
+v-perp in its NS basis.
 """
 from __future__ import annotations
 
@@ -302,17 +300,14 @@ def spherical_classes(form: GramForm2, bound: int) -> list[tuple[int, int]]:
     return level_points(form, (0, 1), range(-bound, bound + 1), -2, -2)
 
 
-def decomposition_solutions(
-    cfg: K3Config, v: MukaiVector, a_i: MukaiVector
-) -> list[tuple[int, int]]:
-    """Integer (x, y) with u = x*a_i + y*v, u^2 >= -2 and 0 < (u,v) <= v^2/2.
+def decomposition_solutions(form: GramForm2) -> list[tuple[int, int]]:
+    """Integer (p, q) with u = p*v + q*a, u^2 >= -2 and 0 < (u,v) <= v^2/2, by (q, p).
 
-    Each pairing level is a line in the (x, y)-plane on which the square is
-    a downward quadratic, so the solution set is finite and found exactly.
+    form is the wall's Gram form in the basis (v, a).  Each pairing level
+    is a line on which the square is a downward quadratic, so the solution
+    set is finite and found exactly.
     """
-    vsq = square(cfg, v)
-    m = pairing(cfg, a_i, v)
-    form = GramForm2(square(cfg, a_i), m, vsq)
     if form.disc_prime <= 0:
         raise ValueError("lattice <v, a> is not of signature (1,1)")
-    return level_points(form, (m, vsq), range(1, vsq // 2 + 1), -2, None)
+    points = level_points(form, (form.q11, form.q12), range(1, form.q11 // 2 + 1), -2, None)
+    return sorted(points, key=lambda pq: (pq[1], pq[0]))

@@ -249,7 +249,7 @@ def path_crossings(
                 raise ValueError(f"path b = {b0} lies on the wall of a = {a}")
             continue
         t2 = -(wall.alpha * b0 * b0 + wall.beta * b0 + wall.gamma) / wall.alpha
-        if t2 <= 0 or t2 <= lo or (hi is not None and t2 > hi):
+        if t2 <= lo or (hi is not None and t2 > hi):
             continue
         collision = None
         for hb, ht2, s in holes(cfg, spherical_members(cfg, lattice)):

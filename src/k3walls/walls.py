@@ -8,24 +8,21 @@ The family (a,a) = 0 = (a,v) is read off the rational null rays of v-perp,
 one degenerate wall per ray; the others are solved in v-perp with one
 coordinate bounded by a window.  One search at twice the window serves
 both the window and its stability check: the window's rays are those
-whose smallest bounded coordinate (their reach) lies within it, and only
-they are built.  One movable cone is read off the window's rays, and the
-window is stable when no ray of reach in (window, 2*window] meets it: such
-a ray lies beyond a boundary, where it neither moves a side's nearest
-divisorial ray nor passes a side's null ray, so the doubled window keeps
-the same walls; and a ray meeting the sector is kept, or, divisorial and
-nearer the limit, bounds the doubled window's sector and is kept there.
+whose smallest bounded coordinate (their reach) lies within it.  The
+movable sector is walked over them outward from Bridgeland's large-volume
+limit, and only the walls the walk reaches are built: the nearest
+divisorial wall on each side bounds the sector, and a positive-cone null
+ray closes a side without one.  The window is stable when no ray of reach
+in (window, 2*window] meets the sector: such a ray lies beyond a boundary,
+where it neither moves a side's nearest divisorial ray nor passes a
+side's null ray, so the doubled window keeps the same walls; and a ray
+meeting the sector is kept, or, divisorial and nearer the limit, bounds
+the doubled window's sector and is kept there.
 NS coordinates are read off integer pairings with the NS basis.
-The movable sector is read off Bridgeland's large-volume limit: its NS
-direction is -l + eps*w with eps -> 0+, for two integer rays l and w, so
-every orientation and side is a lexicographic pair of integer signs.  The
-nearest divisorial wall on each side of the limit bounds the sector, and
-a positive-cone null ray closes any side without a divisorial wall.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
@@ -65,7 +62,7 @@ class WallLattice:
     line: MukaiVector  # primitive generator of the orthogonal line
     degenerate: bool
     divisorial: tuple[tuple[tuple[int, int], ...], ...]  # (bn, hc, lgu)
-    ray: tuple[int, int] | None = None  # NS coords of the line, set by enumerate_result
+    ray: tuple[int, int] | None = None  # NS coords of the line, set by movable_cone
 
     def member(self, p: int, q: int) -> MukaiVector:
         return p * self.v + q * self.a
@@ -132,43 +129,18 @@ class SectorError(ValueError):
 
 @dataclass(frozen=True)
 class MovableCone:
-    """Closed sector of the positive cone between the two boundary rays.
+    """Closed sector of the positive cone between two primitive NS rays.
 
-    Rays are primitive integer coordinate pairs in the NS basis, sign-fixed
-    into the positive-cone component of the sector; the anchor is the
-    primitive sum of the two boundary rays, an interior timelike ray.
-    start is the divisorial (Hilbert-Chow side) boundary whenever one
-    exists.
+    start is the divisorial (Hilbert-Chow side) boundary whenever one exists.
     """
 
     basis: NSBasis
-    anchor: tuple[int, int]
     start: tuple[int, int]
     end: tuple[int, int]
 
-    def orient(self, ray: tuple[int, int]) -> tuple[int, int]:
-        """Sign-fix a positive-or-null ray into the anchor's component."""
-        val = self.basis.gram.pair(ray, self.anchor)
-        if val == 0:
-            # in signature (1,1) only negative classes are orthogonal to a timelike one
-            raise AssertionError(
-                f"ray {ray} is orthogonal to the anchor, yet only wall rays (positive "
-                "or null) are oriented and the anchor start + end is timelike"
-            )
-        return ray if val > 0 else (-ray[0], -ray[1])
-
-    def position(self, ray: tuple[int, int]) -> Fraction | None:
-        """Exact sort key growing from start to end; None outside the sector.
-
-        A ray's line meets the sector when it lies between the boundary
-        lines.  The key is the slope det(anchor, u) / q(anchor, u), even in
-        u: along anchor + s*B with B orthogonal to the anchor it is linear
-        in s, so it grows counterclockwise across the whole component.
-        """
-        if det2(self.start, ray) * det2(ray, self.end) < 0:
-            return None
-        slope = Fraction(det2(self.anchor, ray), self.basis.gram.pair(self.anchor, ray))
-        return slope if det2(self.start, self.end) > 0 else -slope
+    def meets(self, ray: tuple[int, int]) -> bool:
+        """Whether the line of ray, of either sign, lies between the boundary lines."""
+        return det2(self.start, ray) * det2(ray, self.end) >= 0
 
 
 def _large_volume_limit(cfg: K3Config, v: MukaiVector, basis: NSBasis):
@@ -198,36 +170,48 @@ def _null_rays(form: GramForm2) -> list[tuple[int, int]]:
 
 
 def movable_cone(
-    cfg: K3Config, v: MukaiVector, candidates: list[WallLattice], basis: NSBasis
-) -> MovableCone:
-    gram = basis.gram
+    cfg: K3Config, v: MukaiVector, seeds: dict[tuple[int, int], MukaiVector], basis: NSBasis
+) -> tuple[MovableCone, tuple[WallLattice, ...]]:
+    """The movable sector and its walls, in order from start to end.
+
+    seeds maps candidate NS rays to seeds.  Each ray is oriented into the
+    large-volume limit's component, the one start + end lies in, and each
+    side of the limit is walked outward in det2 order, building each wall
+    reached up to the first divisorial or degenerate one, which bounds the
+    side (a side with none raises SectorError).  The null rays lie
+    outermost, so that is the side's nearest divisorial ray if it has one;
+    the walk reaches exactly the lines between the boundaries, as a ray
+    beyond one has its negative in the other component; the start side
+    reversed, then the end side, is their order; and start is chosen by
+    (non-degenerate, Hilbert-Chow, ray).
+    """
     ell, omega = _large_volume_limit(cfg, v, basis)
 
     def limit_sign(f, u):
         # the sign of f(-l + eps*w, u) as eps -> 0+
         return -f(ell, u) or f(omega, u)
 
-    # (ray, is_divisorial, is_hc), oriented into the limit's component; the
-    # degenerate walls' rays are the null rays, which lie outermost, so one
-    # bounds a side only when that side has no divisorial ray
-    rays = [
-        (w.ray if limit_sign(gram.pair, w.ray) > 0 else (-w.ray[0], -w.ray[1]),
-         not w.degenerate, bool(w.divisorial[1]))
-        for w in candidates if any(w.divisorial) or w.degenerate
-    ]
-    # counterclockwise order, total on the component; the side is det(limit, u)
+    sides = ([], [])  # counterclockwise of the limit, then clockwise
+    for ray, a in seeds.items():
+        if limit_sign(basis.gram.pair, ray) < 0:
+            ray = (-ray[0], -ray[1])
+        sides[limit_sign(det2, ray) < 0].append((ray, a))
+    # counterclockwise order, total on the component
     ccw = cmp_to_key(lambda x, y: det2(y[0], x[0]))
-    plus = min((r for r in rays if limit_sign(det2, r[0]) > 0), key=ccw, default=None)
-    minus = max((r for r in rays if limit_sign(det2, r[0]) < 0), key=ccw, default=None)
-    if plus is None or minus is None:
-        raise SectorError(
-            "no divisorial wall and no rational null ray on one side; "
-            "the movable sector cannot be bounded exactly"
-        )
+    walks = []
+    for side, clockwise in zip(sides, (False, True)):
+        walk = []
+        for ray, a in sorted(side, key=ccw, reverse=clockwise):
+            walk.append(replace(build_wall(cfg, v, a), ray=ray))
+            if walk[-1].degenerate or any(walk[-1].divisorial):
+                break
+        else:
+            raise SectorError("no divisorial wall and no rational null ray on one side; "
+                              "the movable sector cannot be bounded exactly")
+        walks.append(walk)
     # start at a divisorial boundary, preferring the Hilbert-Chow type
-    start, end = sorted([plus, minus], key=lambda r: (not r[1], not r[2], r[0]))
-    anchor = primitive_vector((start[0][0] + end[0][0], start[0][1] + end[0][1]))
-    return MovableCone(basis, anchor, start[0], end[0])
+    first, last = sorted(walks, key=lambda w: (w[-1].degenerate, not w[-1].divisorial[1], w[-1].ray))
+    return MovableCone(basis, first[-1].ray, last[-1].ray), (*reversed(first), *last)
 
 
 @dataclass(frozen=True)
@@ -272,11 +256,11 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
 
 
 def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
-    """The wall lattices whose line meets the movable sector, in slope order from
+    """The wall lattices whose line meets the movable sector, in order from
     the divisorial boundary, with the cone, the window and its stability flag.
 
-    One search at twice the window; the rays within the window are built
-    and bound the sector, and the window is stable when no ray beyond it
+    One search at twice the window; the sector is walked over the rays
+    within the window, and the window is stable when no ray beyond it
     meets that sector (the module docstring gives the argument).
     """
     if vec_content(v.as_tuple()) != 1:
@@ -290,12 +274,7 @@ def enumerate_result(cfg: K3Config, v: MukaiVector, window: int | None = None) -
         raise ValueError(f"window must be a positive integer, got {window}")
     basis = lambda_basis(cfg, v)
     seeds = _candidate_walls(cfg, v, 2 * window, basis)
-    pool = [replace(build_wall(cfg, v, a), ray=key)
-            for key, (reach, a) in seeds.items() if reach <= window]
-    cone = movable_cone(cfg, v, pool, basis)
-    # the walls whose ray meets the sector, by position from start to end
-    kept = [(p, w) for w in pool if (p := cone.position(w.ray)) is not None]
-    kept.sort(key=lambda pw: pw[0])
-    stable = all(cone.position(key) is None for key, (reach, _) in seeds.items() if reach > window)
-    walls = tuple(replace(w, ray=cone.orient(w.ray)) for _, w in kept)
+    within = {ray: a for ray, (reach, a) in seeds.items() if reach <= window}
+    cone, walls = movable_cone(cfg, v, within, basis)
+    stable = not any(cone.meets(ray) for ray, (reach, _) in seeds.items() if reach > window)
     return EnumerationResult(walls, cone, window, stable)

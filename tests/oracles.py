@@ -1,6 +1,7 @@
 """Reference scans and checks the tests compare the engine with; the engine never calls them."""
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, isqrt, lcm
 
 from k3walls.intmath import (
@@ -14,17 +15,17 @@ from k3walls.intmath import (
 )
 from k3walls.classify import Decomposition, _effective_atoms
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
-from k3walls.nsgeom import lambda_basis, orthogonal_line_generator
+from k3walls.nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
 from k3walls.stability import _positive_floor_sqrt, holes, numerical_wall
 from k3walls.walls import (
     EnumerationResult,
     SectorError,
     _candidate_walls,
+    _large_volume_limit,
     _normalize_in_basis,
     _null_rays,
     build_wall,
     default_window,
-    movable_cone,
 )
 
 
@@ -467,14 +468,78 @@ def decompositions_by_prefixes(cfg: K3Config, wall, verdict) -> list:
     return results
 
 
+@dataclass(frozen=True)
+class SlopeSector:
+    """A movable sector that orders rays by their slope around an anchor.
+
+    The anchor is the primitive sum of the two boundary rays, an interior
+    timelike ray; the engine orders walls by walking outward from the
+    large-volume limit instead.
+    """
+
+    basis: NSBasis
+    anchor: tuple[int, int]
+    start: tuple[int, int]
+    end: tuple[int, int]
+
+    def orient(self, ray: tuple[int, int]) -> tuple[int, int]:
+        """Sign-fix a positive-or-null ray into the anchor's component."""
+        return ray if self.basis.gram.pair(ray, self.anchor) > 0 else (-ray[0], -ray[1])
+
+    def position(self, ray: tuple[int, int]) -> Fraction | None:
+        """Exact sort key growing from start to end; None outside the sector.
+
+        The key is the slope det(anchor, u) / q(anchor, u), even in u:
+        along anchor + s*B with B orthogonal to the anchor it is linear in
+        s, so it grows counterclockwise across the whole component.
+        """
+        if det2(self.start, ray) * det2(ray, self.end) < 0:
+            return None
+        slope = Fraction(det2(self.anchor, ray), self.basis.gram.pair(self.anchor, ray))
+        return slope if det2(self.start, self.end) > 0 else -slope
+
+
+def pooled_movable_cone(cfg: K3Config, v: MukaiVector, pool, basis) -> SlopeSector:
+    """The sector bounded by a minimum and a maximum over a pool of built walls.
+
+    Each divisorial or degenerate wall's ray is oriented into the
+    large-volume limit's component; on each side of the limit the nearest
+    one bounds the sector, and the start is chosen by (non-degenerate,
+    Hilbert-Chow, ray).  The engine walks outward from the limit and
+    builds only the walls it reaches.
+    """
+    gram = basis.gram
+    ell, omega = _large_volume_limit(cfg, v, basis)
+
+    def limit_sign(f, u):
+        return -f(ell, u) or f(omega, u)
+
+    rays = [
+        (w.ray if limit_sign(gram.pair, w.ray) > 0 else (-w.ray[0], -w.ray[1]),
+         not w.degenerate, bool(w.divisorial[1]))
+        for w in pool if any(w.divisorial) or w.degenerate
+    ]
+    ccw = cmp_to_key(lambda x, y: det2(y[0], x[0]))
+    plus = min((r for r in rays if limit_sign(det2, r[0]) > 0), key=ccw, default=None)
+    minus = max((r for r in rays if limit_sign(det2, r[0]) < 0), key=ccw, default=None)
+    if plus is None or minus is None:
+        raise SectorError(
+            "no divisorial wall and no rational null ray on one side; "
+            "the movable sector cannot be bounded exactly"
+        )
+    start, end = sorted([plus, minus], key=lambda r: (not r[1], not r[2], r[0]))
+    anchor = primitive_vector((start[0][0] + end[0][0], start[0][1] + end[0][1]))
+    return SlopeSector(basis, anchor, start[0], end[0])
+
+
 def enumerate_two_pass(cfg: K3Config, v: MukaiVector, window: int | None = None) -> EnumerationResult:
-    """enumerate_result by two movable-cone passes, every searched ray built.
+    """enumerate_result by two pooled sector passes, every searched ray built.
 
     Builds a wall for each ray of the search at twice the window, bounds
-    one sector with the rays of reach <= window and one with all of them,
-    and calls the window stable when both keep the same rays; the engine
-    bounds the window's sector once and checks that no ray beyond the
-    window meets it.
+    one sector with the rays of reach <= window and one with all of them
+    (pooled_movable_cone), orders the kept walls by slope, and calls the
+    window stable when both keep the same rays; the engine walks the
+    window's sector once and checks that no ray beyond the window meets it.
     """
     if window is None:
         window = default_window(cfg, v)
@@ -486,7 +551,7 @@ def enumerate_two_pass(cfg: K3Config, v: MukaiVector, window: int | None = None)
     passes = []
     for win in (window, 2 * window):
         pool = [w for reach, w in cands.values() if reach <= win]
-        cone = movable_cone(cfg, v, pool, basis)
+        cone = pooled_movable_cone(cfg, v, pool, basis)
         passes.append((cone, {w.ray: p for w in pool if (p := cone.position(w.ray)) is not None}))
     (cone, kept), (_, kept2) = passes
     walls = tuple(replace(cands[ray][1], ray=cone.orient(ray)) for ray in sorted(kept, key=kept.get))

@@ -349,6 +349,34 @@ def test_flop_cells_skip_flat_fibers():
     assert flop_cells(CFG, flat) == []
 
 
+def test_flop_cells_drop_the_hilbert_chow_split_of_pairing_one():
+    # the Hilbert-Chow wall of (1, 0, -4) splits v five ways, one of them
+    # off its Hilbert-Chow class (0, 0, -1) with (b, a) = 1: no cell
+    wall = walls_for(VP)[0]
+    assert wall.a == mv(0, 0, -1) and classify(CFG, wall).subtype == DIVISORIAL_HC
+    decs = decompositions(wall)
+    pairs = [pairing(CFG, b, a) for a, b in (dec.parts for dec in decs.two_part)]
+    assert pairs == [4, 3, 2, 1, 5]
+    assert [cell.fiber_dim for cell in flop_cells(CFG, decs)] == [3, 2, 1, 4]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(V_SMALL)
+def test_trigger_free_flops_pair_their_parts_to_at_least_three(gv):
+    # flop_cells' lemma: on a flopping wall with no spherical trigger every
+    # two-part splitting has (b, a) >= 3, so none is dropped
+    g, *vt = gv
+    walls = flopping_walls(g, tuple(vt))
+    assume(walls is not None)
+    cfg = K3Config(g)
+    for wall, verdict in walls:
+        if verdict.proxy_flag:
+            continue
+        decs = effective_decompositions(cfg, wall, verdict)
+        assert all(pairing(cfg, b, a) >= 3 for a, b in (dec.parts for dec in decs.two_part))
+        assert len(flop_cells(cfg, decs)) == len(decs.two_part)
+
+
 def test_mukai_flop_descriptor_for_small_hilbert():
     v = mv(1, 0, -1)
     wall = walls_for(v)[1]
@@ -431,9 +459,9 @@ def test_survey_analyses_each_wall_once(monkeypatch):
         searches[wall.a.as_tuple()] += 1
         return search(cfg, wall, *args)
 
-    def counted_levels(cfg, v, a):
-        levels[a.as_tuple()] += 1
-        return solve_levels(cfg, v, a)
+    def counted_levels(form):
+        levels[form] += 1
+        return solve_levels(form)
 
     def counted_divisorial(form, *args):
         divisorial[form] += 1
@@ -488,7 +516,7 @@ def test_survey_analyses_each_wall_once(monkeypatch):
         assert walk_sphericals == Counter(w.gram for w in generic)
         assert walk_arcs == Counter(w.a.as_tuple() for w in generic)
         # once per wall, so never again from the split search
-        assert walk_levels == Counter(w.a.as_tuple() for w in generic)
+        assert walk_levels == Counter(w.gram for w in generic)
         assert walk_divisorial == walk_built
     for rec, (verdict, decs) in zip(sv.records, standalone):
         assert verdict == rec.verdict

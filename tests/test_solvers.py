@@ -138,26 +138,32 @@ def test_parallelogram_matches_bounding_box_scan(a, v):
     assert got == brute
 
 
+def gram_in_basis(v, a, cfg=CFG):
+    """The Gram form of (v, a), the basis decomposition_solutions reads."""
+    return GramForm2(square(cfg, v), pairing(cfg, v, a), square(cfg, a))
+
+
 def test_decomposition_solutions_unique_splits():
-    # each interior wall of the rank-two system admits exactly one window part
-    assert decomposition_solutions(CFG, VM, mv(-2, 1, -1)) == [(1, 0)]
-    assert decomposition_solutions(CFG, VM, mv(-1, 1, -2)) == [(1, 0)]
-    assert decomposition_solutions(CFG, VM, mv(1, 0, 1)) == [(1, 0)]
-    assert decomposition_solutions(CFG, VM, mv(-1, 1, -1)) == [(1, 0)]
+    # each interior wall of the rank-two system admits exactly one window
+    # part, a itself
+    assert decomposition_solutions(gram_in_basis(VM, mv(-2, 1, -1))) == [(0, 1)]
+    assert decomposition_solutions(gram_in_basis(VM, mv(-1, 1, -2))) == [(0, 1)]
+    assert decomposition_solutions(gram_in_basis(VM, mv(1, 0, 1))) == [(0, 1)]
+    assert decomposition_solutions(gram_in_basis(VM, mv(-1, 1, -1))) == [(0, 1)]
 
 
 def test_decomposition_solutions_window_bound():
     # the trivial split u = v is always outside the pairing window
     for a in (mv(-2, 1, -1), mv(1, 0, 1)):
-        for x, y in decomposition_solutions(CFG, VM, a):
-            u = x * a + y * VM
+        for p, q in decomposition_solutions(gram_in_basis(VM, a)):
+            u = p * VM + q * a
             assert 0 < pairing(CFG, u, VM) <= square(CFG, VM) // 2
             assert u != VM
 
 
 def test_decomposition_solutions_rejects_rank_one():
     with pytest.raises(ValueError):
-        decomposition_solutions(CFG, VM, VM)
+        decomposition_solutions(gram_in_basis(VM, VM))
 
 
 def test_gram_of():
@@ -366,9 +372,9 @@ def test_level_points_rejects_unsupported_bounds():
 
 def test_decomposition_solutions_keep_irrational_root_ends():
     # on this wall the square along the level lines has irrational roots;
-    # (-5, 3) sits at the end of its interval
-    sols = decomposition_solutions(K3Config(9), mv(3, 2, -6), mv(1, 1, -4))
-    assert sols == [(-5, 3), (-3, 2), (-1, 1), (1, 0), (3, -1), (5, -2)]
+    # (3, -5) sits at the end of its interval; the points come by (q, p)
+    sols = decomposition_solutions(gram_in_basis(mv(3, 2, -6), mv(1, 1, -4), K3Config(9)))
+    assert sols == [(3, -5), (2, -3), (1, -1), (0, 1), (-1, 3), (-2, 5)]
 
 
 VECS = st.tuples(st.integers(-4, 4), st.integers(-3, 3), st.integers(-6, 6))
@@ -384,18 +390,19 @@ def test_decomposition_solutions_match_box_scan(g, vt, at):
         return
     if m * m - asq * vsq <= 0:
         with pytest.raises(ValueError):
-            decomposition_solutions(cfg, v, a)
+            decomposition_solutions(gram_in_basis(v, a, cfg))
         return
-    got = decomposition_solutions(cfg, v, a)
+    got = decomposition_solutions(gram_in_basis(v, a, cfg))
+    assert got == sorted(got, key=lambda pq: (pq[1], pq[0]))
     brute = set()
-    for x in range(-BOX, BOX + 1):
-        for y in range(-BOX, BOX + 1):
-            u = x * a + y * v
+    for p in range(-BOX, BOX + 1):
+        for q in range(-BOX, BOX + 1):
+            u = p * v + q * a
             if square(cfg, u) >= -2 and 0 < pairing(cfg, u, v) <= vsq // 2:
-                brute.add((x, y))
-    assert {xy for xy in got if max(abs(xy[0]), abs(xy[1])) <= BOX} == brute
-    for x, y in got:
-        u = x * a + y * v
+                brute.add((p, q))
+    assert {pq for pq in got if max(abs(pq[0]), abs(pq[1])) <= BOX} == brute
+    for p, q in got:
+        u = p * v + q * a
         assert square(cfg, u) >= -2 and 0 < pairing(cfg, u, v) <= vsq // 2
 
 

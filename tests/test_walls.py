@@ -2,9 +2,10 @@ from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from k3walls import K3Config, enumerate_result, mv
 from k3walls import walls as walls_mod
@@ -175,7 +176,7 @@ def _brute_mov_rays(v, bound=12, cfg=CFG, window=None):
     rays = set()
     for line in lines:
         ray = lex_sign(basis.int_coords(cfg, mv(*line)))
-        if cone.position(ray) is None:
+        if not cone.meets(ray):
             continue
         if _carries_wall_class(v, mv(*_seed_from_line(v, line, cfg)), cfg=cfg):
             rays.add(ray)
@@ -244,17 +245,9 @@ def test_isotropic_walls_come_from_every_null_ray():
     assert [w.line.as_tuple() for w in enumerate_result(cfg, v).walls] == [(24, 17, 48), (2, 1, 2)]
 
 
-def cone_of_form(gram, anchor, start, end):
-    # position and orient read only the basis's form, the anchor and the
-    # two boundary rays
-    return MovableCone(SimpleNamespace(gram=gram), anchor, start, end)
-
-
-def test_end_ray_sorts_after_every_interior_ray():
-    cone = cone_of_form(GramForm2(0, 1, 0), (1, 1), (1, 0), (0, 1))
-    steep = (1, 10**31)
-    assert cone.position(steep) is not None
-    assert cone.position((1, 0)) < cone.position(steep) < cone.position((0, 1))
+def cone_of_form(gram, start, end):
+    # meets reads only the two boundary rays; the tests read the form off the basis
+    return MovableCone(SimpleNamespace(gram=gram), start, end)
 
 
 def test_window_below_one_is_rejected():
@@ -266,7 +259,7 @@ def test_window_below_one_is_rejected():
 
 def test_each_candidate_line_is_built_once(monkeypatch):
     # one solver call per (a^2, (a, v)) family, all at twice the window, one
-    # build per line of reach <= window, and one movable-cone pass
+    # movable-cone pass, and one build per returned wall, all of reach <= window
     windows, built, cones = [], [], []
     real_solve, real_build = walls_mod.solve_square_with_pairing, walls_mod.build_wall
 
@@ -310,9 +303,10 @@ def test_each_candidate_line_is_built_once(monkeypatch):
     res = enumerate_result(CFG, v)
     assert len(windows) == square(CFG, v) + 1
     assert set(windows) == {2 * window} == {2 * res.window}
-    assert sorted(built) == sorted(within)
+    assert sorted(built) == sorted(w.line.as_tuple() for w in res.walls)
+    assert set(built) < within
     assert len(cones) == 1
-    # the null rays are solved once; the sector reads them off the pool
+    # the null rays are solved once; the walk reads them off the seeds
     assert len(null_forms) == 1
     # the sector comes from the large-volume limit, not from stability
     assert not hasattr(walls_mod, "numerical_wall")
@@ -326,19 +320,23 @@ def test_each_window_keeps_the_lines_it_reaches():
     assert [res.stable for res in results] == [False, False, True]
 
 
-def _between_det2(cone, ray):
-    """Oracle for membership (position not None): the ray lies between
-    start and end by det2 signs."""
-    u = cone.orient(ray)
+def _orient(gram, anchor, ray):
+    """Sign-fix a positive-or-null ray into the anchor's component."""
+    return ray if gram.pair(ray, anchor) > 0 else (-ray[0], -ray[1])
+
+
+def _between_det2(cone, u):
+    """Oracle for meets: u, sign-fixed into the sector's component, lies
+    between start and end by det2 signs."""
     d1, d2 = det2(cone.start, u), det2(u, cone.end)
     if det2(cone.start, cone.end) > 0:
         return d1 >= 0 and d2 >= 0
     return d1 <= 0 and d2 <= 0
 
 
-def _cramer_key(cone, ray):
-    """Oracle for position: u = x*start + y*end, keyed by y/x (the end ray last)."""
-    u = cone.orient(ray)
+def _cramer_key(cone, u):
+    """Oracle for the order from start to end: u, sign-fixed into the
+    sector's component, is x*start + y*end, keyed by y/x (the end ray last)."""
     x, y = coords_in_basis((*cone.start, 0), (*cone.end, 0), (*u, 0))
     assert x >= 0 and y >= 0
     return (True, Fraction(0)) if x == 0 else (False, y / x)
@@ -363,29 +361,28 @@ def sectors(draw):
     positive = [x for x in vecs if gram.value(*x) > 0]
     assume(positive)
     anchor = primitive_vector(positive[0])
-    # rays of either sign: MovableCone.orient moves each into the anchor's component
+    # rays of either sign; the test sign-fixes each into the anchor's component
     rays = draw(st.permutations(positive[1:] + nulls))
     assume(len(rays) >= 2)
-    start, end = (x if gram.pair(x, anchor) > 0 else (-x[0], -x[1]) for x in rays[:2])
+    start, end = (_orient(gram, anchor, x) for x in rays[:2])
     assume(det2(start, end) != 0)
-    return cone_of_form(gram, anchor, start, end), rays
+    return cone_of_form(gram, start, end), anchor, rays
 
 
 @settings(max_examples=300, deadline=None)
 @given(sectors())
-def test_slope_places_rays_as_det2_and_cramer_do(case):
-    cone, rays = case
+# an interior ray far steeper than either boundary still meets the sector
+@example((cone_of_form(GramForm2(0, 1, 0), (1, 0), (0, 1)), (1, 1), [(1, 0), (1, 10**31), (0, 1)]))
+def test_meets_places_rays_as_det2_does(case):
+    # meets takes a ray of either sign
+    cone, anchor, rays = case
+    gram = cone.basis.gram
     inside = []
     for ray in rays:
-        assert (cone.position(ray) is not None) == _between_det2(cone, ray), ray
-        if cone.position(ray) is not None:
+        assert cone.meets(ray) == _between_det2(cone, _orient(gram, anchor, ray)), ray
+        if cone.meets(ray):
             inside.append(ray)
     assert len(inside) >= 2  # start and end
-    for r1 in inside:
-        for r2 in inside:
-            assert (cone.position(r1) < cone.position(r2)) == (
-                _cramer_key(cone, r1) < _cramer_key(cone, r2)
-            ), (r1, r2)
 
 
 VECTORS = st.tuples(*[st.integers(-9, 9)] * 3)
@@ -453,7 +450,7 @@ def _sector_or_message(sector, *args):
 @settings(max_examples=100, deadline=None)
 @given(positive_vectors())
 def test_movable_cone_matches_finite_volume_oracle(case):
-    # on the pools of the window and of twice the window, the large-volume
+    # on the seeds of the window and of twice the window, the large-volume
     # limit bounds the sector as the finite-volume anchor above every
     # seed's wall does
     cfg, v = case
@@ -461,11 +458,29 @@ def test_movable_cone_matches_finite_volume_oracle(case):
     window = default_window(cfg, v)
     seeds = _candidate_walls(cfg, v, 2 * window, basis)
     for win in (window, 2 * window):
-        pool = [replace(build_wall(cfg, v, a), ray=key)
-                for key, (reach, a) in seeds.items() if reach <= win]
-        cone = _sector_or_message(movable_cone, cfg, v, pool, basis)
+        within = {key: a for key, (reach, a) in seeds.items() if reach <= win}
+        pool = [replace(build_wall(cfg, v, a), ray=key) for key, a in within.items()]
+        cone = _sector_or_message(lambda *args: movable_cone(*args)[0], cfg, v, within, basis)
         got = cone if isinstance(cone, str) else (cone.start, cone.end)
         assert got == _sector_or_message(finite_volume_sector, cfg, v, pool, basis)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(positive_vectors())
+def test_walk_builds_each_wall_once_in_order(case):
+    # an input that enumerates builds exactly its walls, and their rays
+    # run from start to end in the order of their coordinates in the
+    # basis (start, end)
+    cfg, v = case
+    with patch.object(walls_mod, "build_wall", wraps=build_wall) as counted:
+        try:
+            res = enumerate_result(cfg, v)
+        except SectorError:
+            assume(False)
+    assert counted.call_count == len(res.walls)
+    assert (res.walls[0].ray, res.walls[-1].ray) == (res.cone.start, res.cone.end)
+    keys = [_cramer_key(res.cone, w.ray) for w in res.walls]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 WINDOWS = st.sampled_from([1, 2, 3, 5, 8, None])
@@ -477,7 +492,7 @@ def _enumeration_or_message(enumerate_walls, cfg, v, window):
     except SectorError as exc:
         return str(exc)
     walls = [(w.a, w.ray, w.line, w.divisorial, w.degenerate) for w in res.walls]
-    return walls, (res.cone.start, res.cone.end, res.cone.anchor), res.window, res.stable
+    return walls, (res.cone.start, res.cone.end), res.window, res.stable
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -494,14 +509,15 @@ def test_one_cone_pass_matches_two(case, window):
 @settings(max_examples=60, deadline=None)
 @given(positive_vectors())
 def test_every_wall_ray_pairs_positively_with_the_anchor(case):
-    # orient never meets a ray orthogonal to the anchor: the anchor is
-    # timelike and every wall ray is positive or null
+    # the anchor start + end is timelike, and every wall ray is positive or
+    # null and sign-fixed into the anchor's component
     cfg, v = case
     try:
         res = enumerate_result(cfg, v)
     except SectorError:
         assume(False)
-    gram, anchor = res.cone.basis.gram, res.cone.anchor
+    gram, (start, end) = res.cone.basis.gram, (res.cone.start, res.cone.end)
+    anchor = primitive_vector((start[0] + end[0], start[1] + end[1]))
     assert gram.value(*anchor) > 0
     for wall in res.walls:
         assert gram.value(*wall.ray) >= 0 and gram.pair(wall.ray, anchor) > 0
