@@ -27,6 +27,7 @@ from oracles import (
     charge_direction,
     coords_in_basis,
     enumerate_two_pass,
+    SlopeSector,
     finite_volume_sector,
     normalize_by_preference,
     wall_by_coordinates,
@@ -250,6 +251,14 @@ def cone_of_form(gram, start, end):
     return MovableCone(SimpleNamespace(gram=gram), start, end)
 
 
+def test_end_ray_sorts_after_every_interior_ray():
+    # the reference sector's slope key, which orders enumerate_two_pass
+    sector = SlopeSector(SimpleNamespace(gram=GramForm2(0, 1, 0)), (1, 1), (1, 0), (0, 1))
+    steep = (1, 10**31)
+    assert sector.position(steep) is not None
+    assert sector.position((1, 0)) < sector.position(steep) < sector.position((0, 1))
+
+
 def test_window_below_one_is_rejected():
     # window 0 doubles to itself, so no ray beyond it could test stability
     for window in (0, -5):
@@ -383,6 +392,27 @@ def test_meets_places_rays_as_det2_does(case):
         if cone.meets(ray):
             inside.append(ray)
     assert len(inside) >= 2  # start and end
+
+
+@settings(max_examples=300, deadline=None)
+@given(sectors())
+def test_slope_places_rays_as_det2_and_cramer_do(case):
+    # the reference sector's slope key: defined exactly on the rays
+    # between start and end, and growing from start to end
+    cone, anchor, rays = case
+    sector = SlopeSector(cone.basis, anchor, cone.start, cone.end)
+    inside = []
+    for ray in rays:
+        u = sector.orient(ray)
+        assert (sector.position(ray) is not None) == _between_det2(cone, u), ray
+        if sector.position(ray) is not None:
+            inside.append(ray)
+    assert len(inside) >= 2  # start and end
+    for r1 in inside:
+        for r2 in inside:
+            assert (sector.position(r1) < sector.position(r2)) == (
+                _cramer_key(cone, sector.orient(r1)) < _cramer_key(cone, sector.orient(r2))
+            ), (r1, r2)
 
 
 VECTORS = st.tuples(*[st.integers(-9, 9)] * 3)
