@@ -45,8 +45,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UsageError; '-' and a digit starts a value, not a flag.
+
+    argparse reads only negative integers and decimals as values, so
+    --b -1/2 and --v -1,0,4 would otherwise lack their value.  No flag
+    starts with a digit, and subparsers are of this class too.
+    """
+
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_vector(text: str) -> MukaiVector:

@@ -43,15 +43,6 @@ def frac_sqrt(x: Fraction | int) -> Fraction | None:
     return Fraction(pn, pd)
 
 
-def frac_floor_sqrt(x: Fraction | int) -> Fraction:
-    """A rational lower bound r <= sqrt(x) with r close to sqrt(x)."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    # floor(sqrt(n/d)) scaled: isqrt(n*d)/d <= sqrt(n/d)
-    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
-
-
 def vec_content(vec: tuple[int, ...]) -> int:
     g = 0
     for x in vec:

@@ -63,12 +63,21 @@ def solve_square_with_pairing(
     levels = range(offset - window * vsq, offset + window * vsq + 1, vsq)
     form = basis.gram
     norm = vsq * (vsq * d - m * m)
+    (p1, p2, p3), (q1, q2, q3) = e1, e2
+    m1, m2, m3 = (m * w for w in vt)
     out: list[MukaiVector] = []
     for x, y in level_points(form, (e1[i], e2[i]), levels, norm, norm):
-        num = [x * p + y * q + m * w for p, q, w in zip(e1, e2, vt)]
-        if any(t % vsq for t in num):
+        # a = (x*e1 + y*e2 + m*v) / v^2, kept when integral
+        r, k = divmod(x * p1 + y * q1 + m1, vsq)
+        if k:
             continue
-        a = MukaiVector(*(t // vsq for t in num))
+        c, k = divmod(x * p2 + y * q2 + m2, vsq)
+        if k:
+            continue
+        s, k = divmod(x * p3 + y * q3 + m3, vsq)
+        if k:
+            continue
+        a = MukaiVector(r, c, s)
         # exact re-verification of both defining equations
         if square(cfg, a) != d or pairing(cfg, a, v) != m:
             raise AssertionError(f"solver produced invalid class {a}")

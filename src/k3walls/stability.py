@@ -2,16 +2,19 @@
 
 Charges are evaluated against exp((b + it)H); since every alignment locus
 is a polynomial in b and t^2, the computations stay in Q throughout and t
-itself is never materialized.
+itself is never materialized.  The numerical wall's coefficients are
+integers, and the arc sampler places its centre, radius bound, holes,
+breaks and midpoints as integer numerators over one denominator, so only
+the sample points it returns are Fractions.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
-from .intmath import frac_floor_sqrt, lex_sign
+from .intmath import lex_sign
 from .lattice import K3Config, MukaiVector, square
 from .solvers import spherical_classes
 from .walls import WallLattice
@@ -21,10 +24,13 @@ SPHERICAL_SEARCH_BOUND = 24
 
 @dataclass(frozen=True)
 class NumericalWall:
-    """Alignment locus of Z(v) and Z(a): alpha*(b^2 + t^2) + beta*b + gamma = 0."""
+    """Alignment locus of Z(v) and Z(a): alpha*(b^2 + t^2) + beta*b + gamma = 0.
+
+    alpha = (e/2)(v.r*a.c - a.r*v.c) is an integer, as e = H^2 = 2g - 2 is even.
+    """
 
     shape: str  # "semicircle" | "vertical" | "empty"
-    alpha: Fraction
+    alpha: int
     beta: int
     gamma: int
     center_b: Fraction | None = None
@@ -33,8 +39,7 @@ class NumericalWall:
 
 
 def numerical_wall(cfg: K3Config, v: MukaiVector, a: MukaiVector) -> NumericalWall:
-    e = cfg.h2
-    alpha = Fraction(e, 2) * (v.r * a.c - a.r * v.c)
+    alpha = (cfg.genus - 1) * (v.r * a.c - a.r * v.c)
     beta = v.s * a.r - a.s * v.r
     gamma = a.s * v.c - v.s * a.c
     if alpha != 0:
@@ -154,17 +159,6 @@ class AlignmentFunctional:
         return Fraction(self.numerator(x), self.den)
 
 
-def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fraction:
-    """Rational lower bound for sqrt(x) strictly above exceed (< sqrt(x))."""
-    scale = 1
-    for _ in range(256):
-        r = frac_floor_sqrt(x * scale * scale) / scale
-        if r > exceed:
-            return r
-        scale *= 4
-    raise AssertionError("square-root lower bound failed to converge")
-
-
 def alignment_candidates(
     cfg: K3Config, v: MukaiVector, a: MukaiVector, spherical
 ) -> list[AlignmentFunctional]:
@@ -178,28 +172,57 @@ def alignment_candidates(
     between two breaks, so no midpoint is a hole.  The wall has no point
     exactly when <v, a> is not hyperbolic.
     spherical lists the spherical classes of <v, a> (spherical_members).
+
+    The b of breaks and points are integer numerators over one even
+    denominator L, and each t^2 a numerator over L^2, so only the returned
+    points are Fractions.  On a semicircle, the radius bound r_lo is
+    isqrt(n*d)/(d*scale) for n/d = r^2*scale^2 in lowest terms, scale = 4^k
+    the first power past every hole's offset from the centre.
     """
     wall = numerical_wall(cfg, v, a)
     if wall.shape == "empty":
         return []
     hole_list = holes(cfg, spherical)
     if wall.shape == "semicircle":
-        c, r2 = wall.center_b, wall.radius_sq
+        center, r2 = wall.center_b, wall.radius_sq
+        # the centre and the holes' b over m
+        m = lcm(center.denominator, *(b.denominator for b, _, _ in hole_list))
+        c = center.numerator * (m // center.denominator)
+        hole_bs = [b.numerator * (m // b.denominator) for b, _, _ in hole_list]
         # every hole lies strictly inside the circle; push the rational
         # radius bound past all of them so no arc goes unsampled
-        max_offset = max((abs(b - c) for b, _, _ in hole_list), default=Fraction(0))
-        r_lo = _positive_floor_sqrt(r2, exceed=max_offset)
-        breaks = sorted({c - r_lo, c + r_lo, *(b for b, _, _ in hole_list)})
+        offset = max((abs(b - c) for b in hole_bs), default=0)
+        rn, rd = r2.numerator, r2.denominator
+        scale = 1
+        for _ in range(256):
+            g = gcd(scale * scale, rd)
+            n, d = rn * (scale * scale // g), rd // g
+            root = isqrt(n * d)
+            if root * m > offset * d * scale:
+                break
+            scale *= 4
+        else:
+            raise AssertionError("square-root lower bound failed to converge")
+        # midpoints of breaks over m and d*scale are integers over L
+        L = 2 * lcm(m, d * scale)
+        k = L // m
+        c *= k
+        r_lo = root * (L // (d * scale))
+        hole_bs = [b * k for b in hole_bs]
+        breaks = sorted({c - r_lo, c + r_lo, *hole_bs})
         # the holes lie on the wall, so a hole at b = c is the apex
-        apex = [] if any(b == c for b, _, _ in hole_list) else [c]
-        bs = dict.fromkeys(apex + [(b1 + b2) / 2 for b1, b2 in zip(breaks, breaks[1:])])
-        pts = [(b, r2 - (b - c) ** 2) for b in bs]
+        apex = [] if c in hole_bs else [c]
+        bs = dict.fromkeys(apex + [(b1 + b2) // 2 for b1, b2 in zip(breaks, breaks[1:])])
+        # r^2 * L^2 is an integer: rd = d * gcd(scale^2, rd) divides (d*scale)^2
+        r2_num = rn * (L * L // rd)
+        pts = [(Fraction(b, L), Fraction(r2_num - (b - c) ** 2, L * L)) for b in bs]
     else:
         # every hole of a vertical wall lies on its line
         b = wall.line_b
-        breaks = [Fraction(0), *sorted(t2 for _, t2, _ in hole_list)]
-        breaks.append(breaks[-1] + 2)
-        pts = [(b, (u + w) / 2) for u, w in zip(breaks, breaks[1:])]
+        L = 2 * lcm(*(t2.denominator for _, t2, _ in hole_list))
+        breaks = [0, *sorted(t2.numerator * (L // t2.denominator) for _, t2, _ in hole_list)]
+        breaks.append(breaks[-1] + 2 * L)
+        pts = [(b, Fraction((u + w) // 2, L)) for u, w in zip(breaks, breaks[1:])]
     return [AlignmentFunctional(cfg, v, b, t2) for b, t2 in pts]
 
 

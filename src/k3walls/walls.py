@@ -35,7 +35,7 @@ from .intmath import (
     unit_section,
     vec_content,
 )
-from .lattice import GramForm2, K3Config, MukaiVector, pairing, square
+from .lattice import GramForm2, K3Config, MukaiVector, pairing, pairing_row, square
 from .nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
 from .solvers import _free_index, classes_in_rank2, solve_square_with_pairing
 
@@ -65,7 +65,8 @@ class WallLattice:
     ray: tuple[int, int] | None = None  # NS coords of the line, set by movable_cone
 
     def member(self, p: int, q: int) -> MukaiVector:
-        return p * self.v + q * self.a
+        v, a = self.v, self.a
+        return MukaiVector(p * v.r + q * a.r, p * v.c + q * a.c, p * v.s + q * a.s)
 
 
 def _normalize_in_basis(cfg: K3Config, v: MukaiVector, u: MukaiVector):
@@ -247,9 +248,17 @@ def _candidate_walls(cfg: K3Config, v: MukaiVector, window: int, basis: NSBasis)
     # of v-perp, one degenerate wall per ray, found without a window
     hits += [(0, basis.from_coords(x, y)) for x, y in _null_rays(basis.gram)]
     # the wall is the saturation of the plane, so any seed of a ray builds it
+    (x1, y1, z1), (x2, y2, z2) = pairing_row(cfg, basis.e1), pairing_row(cfg, basis.e2)
     seeds: dict[tuple[int, int], tuple[int, MukaiVector]] = {}
     for t, a in hits:
-        key = lex_sign(primitive_vector((pairing(cfg, basis.e2, a), -pairing(cfg, basis.e1, a))))
+        p = x2 * a.r + y2 * a.c + z2 * a.s
+        q = -(x1 * a.r + y1 * a.c + z1 * a.s)
+        # (p, q) = (0, 0) only for a in Q*v, of positive square unless a = 0,
+        # so the gcd is never 0; the sign makes the first nonzero entry positive
+        g = gcd(p, q)
+        if p < 0 or p == 0 > q:
+            g = -g
+        key = (p // g, q // g)
         if key not in seeds or t < seeds[key][0]:
             seeds[key] = (t, a)
     return seeds

@@ -16,7 +16,7 @@ from k3walls.intmath import (
 from k3walls.classify import Decomposition, _effective_atoms
 from k3walls.lattice import GramForm2, Isometry, K3Config, MukaiVector, pairing, square
 from k3walls.nsgeom import NSBasis, lambda_basis, orthogonal_line_generator
-from k3walls.stability import _positive_floor_sqrt, holes, numerical_wall
+from k3walls.stability import holes, numerical_wall
 from k3walls.walls import (
     EnumerationResult,
     SectorError,
@@ -556,6 +556,25 @@ def enumerate_two_pass(cfg: K3Config, v: MukaiVector, window: int | None = None)
     (cone, kept), (_, kept2) = passes
     walls = tuple(replace(cands[ray][1], ray=cone.orient(ray)) for ray in sorted(kept, key=kept.get))
     return EnumerationResult(walls, cone, window, kept.keys() == kept2.keys())
+
+
+def frac_floor_sqrt(x: Fraction) -> Fraction:
+    """A rational lower bound r <= sqrt(x), x >= 0: isqrt(n*d)/d for x = n/d reduced."""
+    return Fraction(isqrt(x.numerator * x.denominator), x.denominator)
+
+
+def _positive_floor_sqrt(x: Fraction, exceed: Fraction = Fraction(0)) -> Fraction:
+    """Rational lower bound for sqrt(x) strictly above exceed (< sqrt(x)), in Fractions.
+
+    The engine's alignment_candidates finds the same bound on integers.
+    """
+    scale = 1
+    for _ in range(256):
+        r = frac_floor_sqrt(x * scale * scale) / scale
+        if r > exceed:
+            return r
+        scale *= 4
+    raise AssertionError("square-root lower bound failed to converge")
 
 
 def alignment_points_with_repeats(cfg: K3Config, v: MukaiVector, a: MukaiVector, spherical):

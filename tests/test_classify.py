@@ -1,4 +1,5 @@
 import importlib
+import random
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -17,7 +18,15 @@ from k3walls import (
 )
 from k3walls.classify import DIVISORIAL_HC, Decomposition, Splittings
 from k3walls.lattice import pairing, square
-from k3walls.stability import AlignmentFunctional, alignment_candidates, spherical_members
+from k3walls.nsgeom import lambda_basis
+from k3walls.solvers import solve_square_with_pairing
+from k3walls.stability import (
+    AlignmentFunctional,
+    alignment_candidates,
+    holes,
+    numerical_wall,
+    spherical_members,
+)
 from k3walls.walls import SectorError, build_wall
 from oracles import (
     alignment_points_with_repeats,
@@ -228,6 +237,53 @@ def test_arc_sampler_drops_only_repeats_on_the_ladder(monkeypatch):
             assert classify(CFG, wall) == verdict, wall.a
         assert (verdict.func is None) == wall.degenerate
     assert dropped > 0
+
+
+def arc_data(funcs):
+    return [(f.b, f.t2, f.weights, f.den) for f in funcs]
+
+
+def reference_arc_data(cfg, v, a, spherical):
+    points = dict.fromkeys(alignment_points_with_repeats(cfg, v, a, spherical))
+    return arc_data(AlignmentFunctional(cfg, v, b, t2) for b, t2 in points)
+
+
+def test_arc_sampler_matches_the_reference_across_genus():
+    # derandomised: 1000 primitive v over g 2-12 with 0 < v^2 <= 120, half
+    # Hilbert (1, 0, 1 - n), half (r, c, s) with |r| <= 5, |c| <= 3; walls
+    # from two small random seeds, a seed (k r, k c, s) whose wall is
+    # vertical, and up to two spherical seeds of pairing at most 2, whose
+    # walls carry several holes
+    rng = random.Random(34)
+    kinds, cases = Counter(), 0
+    while cases < 1000:
+        g = rng.randint(2, 12)
+        vt = (1, 0, -rng.randint(0, 59)) if rng.random() < 0.5 else (
+            rng.randint(-5, 5), rng.randint(-3, 3), rng.randint(-30, 30))
+        cfg, v = K3Config(g), mv(*vt)
+        if gcd(gcd(*vt[:2]), vt[2]) != 1 or not 0 < square(cfg, v) <= 120:
+            continue
+        cases += 1
+        seeds = [mv(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-12, 12)) for _ in range(2)]
+        k = rng.randint(1, 3)
+        seeds.append(mv(k * v.r, k * v.c, rng.randint(-12, 12)))
+        m = rng.randint(0, min(2, square(cfg, v) // 2))
+        spherical_seeds = solve_square_with_pairing(cfg, v, -2, m, 4, lambda_basis(cfg, v))
+        seeds += rng.sample(spherical_seeds, min(2, len(spherical_seeds)))
+        for seed in seeds:
+            try:
+                wall = build_wall(cfg, v, seed)
+            except ValueError:  # v and the seed span no wall
+                continue
+            if wall.degenerate:
+                continue
+            spherical = spherical_members(cfg, wall)
+            data = arc_data(alignment_candidates(cfg, v, wall.a, spherical))
+            assert data == reference_arc_data(cfg, v, wall.a, spherical), (g, v, wall.a)
+            shape = numerical_wall(cfg, v, wall.a).shape
+            kinds[shape, min(len(holes(cfg, spherical)), 3)] += 1
+    assert kinds["vertical", 0] > 100 and kinds["vertical", 1] > 100
+    assert kinds["semicircle", 3] > 30
 
 
 @lru_cache(maxsize=None)

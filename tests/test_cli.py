@@ -203,6 +203,23 @@ def test_path_rejects_zero_denominator(capsys, flags):
     assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n")
 
 
+def test_negative_rationals_and_vectors_are_values(capsys):
+    # a value starting with '-' and a digit is read as a value, not a flag
+    base = ("path", "--genus", "2", "--v", "1,0,-4")
+    code, joined, _ = invoke(capsys, *base, "--b=-1/2")
+    assert code == 0 and joined
+    assert invoke(capsys, *base, "--b", "-1/2") == (0, joined, "")
+    code, out, _ = invoke(capsys, "walls", "--genus", "2", "--v", "-1,0,4")
+    assert code == 0 and out == invoke(capsys, "walls", "--genus", "2", "--v=-1,0,4")[1]
+    assert invoke(capsys, "pairing", "--x", "-1,0,4", "--y", "0,1,0") == (0, "0\n", "")
+    assert invoke(capsys, "pairing", "--x", "-1,0,4", "--y", "1,0,-4") == (0, "-8\n", "")
+    code, out, err = invoke(capsys, *base, "--b", "0", "--t-max", "-1/3")
+    assert (code, out, err) == (1, "", "error: t_max must exceed t_min, got t_min = 0, t_max = -1/3\n")
+    # a missing value is still an error
+    code, out, err = invoke(capsys, *base, "--b")
+    assert (code, out, err) == (1, "", "error: argument --b: expected one argument\n")
+
+
 def test_path_range_excludes_hole(capsys):
     code, out, _ = invoke(
         capsys, "path", "--genus", "2", "--v", "1,0,-4", "--b", "-2",

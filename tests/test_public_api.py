@@ -4,7 +4,9 @@ import dataclasses
 import importlib
 import pathlib
 import re
+import sys
 import types
+from collections import Counter
 
 import k3walls
 
@@ -136,3 +138,52 @@ def test_benchmark_hooks_exist():
     # the fields the benchmark's output checks read off every wall
     wall_lattice = importlib.import_module("k3walls.walls").WallLattice
     assert {"line", "gram"} <= {f.name for f in dataclasses.fields(wall_lattice)}
+
+
+# the hooks whose work the benchmark's counters read off their calls
+WORKING_HOOKS = (
+    "solvers.solve_square_with_pairing",
+    "stability.alignment_candidates",
+    "stability.holes",
+)
+
+
+def test_benchmark_hooks_do_the_work(monkeypatch):
+    # each hook wrapped in every k3walls namespace that binds it, and phi on
+    # its class, as perfbench/tracing.py wraps them: a hook that still exists
+    # but no longer does the work it is counted for fails here
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name] += 1
+            if name == "stability.alignment_candidates":
+                calls["arcs"] += len(result)
+            return result
+        return wrapper
+
+    wrappers = {}
+    for hook in WORKING_HOOKS:
+        module, attr = hook.split(".")
+        fn = getattr(importlib.import_module(f"k3walls.{module}"), attr)
+        wrappers[fn] = counted(hook, fn)
+    for name, mod in list(sys.modules.items()):
+        if name == "k3walls" or name.startswith("k3walls."):
+            for attr, obj in list(vars(mod).items()):
+                if isinstance(obj, types.FunctionType) and obj in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[obj])
+    functional = importlib.import_module("k3walls.stability").AlignmentFunctional
+    monkeypatch.setattr(functional, "phi", counted("phi", functional.phi))
+    # (genus, v, v^2, non-degenerate walls, sampled arcs)
+    for g, vt, vsq, walls, arcs in [(2, (3, 1, -7), 44, 27, 65), (12, (1, 0, -2), 4, 6, 27)]:
+        calls.clear()
+        cfg = k3walls.K3Config(g)
+        result = k3walls.enumerate_result(cfg, k3walls.mv(*vt))
+        for wall in result.walls:
+            k3walls.classify(cfg, wall)
+        # one solve per family (a^2, (a, v)): (-2, 0..v^2/2) and (0, 1..v^2/2)
+        assert calls["solvers.solve_square_with_pairing"] == vsq + 1
+        assert sum(not wall.degenerate for wall in result.walls) == walls
+        assert calls["stability.alignment_candidates"] == calls["stability.holes"] == walls
+        assert calls["arcs"] == arcs and calls["phi"] >= arcs
